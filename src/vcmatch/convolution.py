@@ -13,14 +13,15 @@ occurrences are equal.  Both checks reduce to sliding cross-correlations:
 
 In injective (pvc) mode the per-variable window values must additionally be
 pairwise distinct.  Correlations run block-wise over a fast transform and
-are rounded back to exact integers; inputs too large for exact float
-arithmetic raise :class:`OverflowRiskError` and callers fall back to direct
+are rounded back to exact integers; inputs whose rounding error bound
+reaches 1/2 raise :class:`OverflowRiskError` and callers fall back to direct
 summation with arbitrary-precision integers.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -30,10 +31,15 @@ from .naive import MatchReport
 
 logger = logging.getLogger(__name__)
 
-# Exactness guard for the float transform path: with per-value bound 2**26
-# and kernels up to 2**26 taps the correlation sums stay below 2**53.
+# Exactness guard for the float transform path: values stay below 2**26, and
+# the first-order rounding error bound of a float64 FFT convolution of size
+# 2**k, |a|_2 * |b|_2 * eps * (c * k + c0) (Percival, Math. Comp. 72, 2003),
+# stays below 1/2, with |a|_2 <= a_max * sqrt(2m-1) per block and |b|_2 <=
+# b_max * sqrt(m).  c = 3 + 3*sqrt(5) + 3 for one-eps twiddles, rounded up.
 VALUE_LIMIT = 1 << 26
-EXACT_SUM_LIMIT = 1 << 53
+FFT_EPS = 2.0**-53
+FFT_ERROR_PER_LEVEL = 16.0
+FFT_ERROR_BASE = 4.0
 
 
 class OverflowRiskError(OverflowError):
@@ -54,54 +60,42 @@ def _as_int_array(values, name: str) -> np.ndarray:
 
 
 def _check_value_bound(a_max: int, b_max: int, m: int) -> None:
-    if a_max >= VALUE_LIMIT or b_max >= VALUE_LIMIT or a_max * b_max * m >= EXACT_SUM_LIMIT:
-        raise OverflowRiskError(
-            f"values up to {max(a_max, b_max)} with kernel length {m} exceed the exact "
-            f"float-transform range; use direct summation"
-        )
+    """Raise unless rounding the blocked transform provably gives exact
+    integers, for blocks of 2m-1 values up to ``a_max`` and kernels of m
+    values up to ``b_max``."""
+    if a_max >= VALUE_LIMIT or b_max >= VALUE_LIMIT:
+        raise OverflowRiskError(f"values up to {max(a_max, b_max)} reach the limit {VALUE_LIMIT}")
+    levels = _next_pow2(2 * m - 1).bit_length() - 1
+    norms = a_max * b_max * math.sqrt((2 * m - 1) * m)
+    bound = norms * FFT_EPS * (FFT_ERROR_PER_LEVEL * levels + FFT_ERROR_BASE)
+    if bound >= 0.5:
+        raise OverflowRiskError(f"transform rounding error may reach {bound:.3g} at kernel length {m}")
 
 
 def _next_pow2(x: int) -> int:
     return 1 << max(0, (x - 1).bit_length())
 
 
-def _fft_correlate_batch(a: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
-    """Correlate one sequence against many kernels of equal length.
+def _fft_correlate(a_rows: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
+    """Correlate row i of ``a_rows`` (or its only row) against row i of
+    ``b_rows``, rounded to integers.
 
-    The sequence is split into overlapping blocks of length 2m-1 with stride
-    m; each block is handled by one transform of size >= 2m-1, so wrap-around
-    never touches the m retained outputs per block.
+    Blocks of length 2m-1 with stride m each take one transform of size
+    >= 2m-1, so wrap-around never touches the m outputs a block keeps.
     """
-    n = a.shape[0]
+    n = a_rows.shape[1]
     rows, m = b_rows.shape
     n_out = n - m + 1
     size = _next_pow2(2 * m - 1)
     nblocks = -(-n_out // m)
-    padded = np.zeros((nblocks - 1) * m + 2 * m - 1, dtype=np.float64)
-    padded[:n] = a
-    blocks = sliding_window_view(padded, 2 * m - 1)[::m]
-    fa = np.fft.rfft(blocks, size, axis=1)
-    fb = np.fft.rfft(b_rows[:, ::-1], size, axis=1)
-    conv = np.fft.irfft(fb[:, None, :] * fa[None, :, :], size, axis=2)
-    vals = conv[:, :, m - 1 : 2 * m - 1]
-    return vals.reshape(rows, nblocks * m)[:, :n_out]
-
-
-def _fft_correlate_pairs(a_rows: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
-    """Correlate row i of ``a_rows`` against row i of ``b_rows``."""
-    rows, n = a_rows.shape
-    m = b_rows.shape[1]
-    n_out = n - m + 1
-    size = _next_pow2(2 * m - 1)
-    nblocks = -(-n_out // m)
-    padded = np.zeros((rows, (nblocks - 1) * m + 2 * m - 1), dtype=np.float64)
+    padded = np.zeros((a_rows.shape[0], (nblocks - 1) * m + 2 * m - 1), dtype=np.float64)
     padded[:, :n] = a_rows
     blocks = sliding_window_view(padded, 2 * m - 1, axis=1)[:, ::m, :]
     fa = np.fft.rfft(blocks, size, axis=2)
     fb = np.fft.rfft(b_rows[:, ::-1], size, axis=1)
     conv = np.fft.irfft(fa * fb[:, None, :], size, axis=2)
     vals = conv[:, :, m - 1 : 2 * m - 1]
-    return vals.reshape(rows, nblocks * m)[:, :n_out]
+    return np.rint(vals.reshape(rows, nblocks * m)[:, :n_out]).astype(np.int64)
 
 
 def correlate(a, b) -> np.ndarray:
@@ -109,8 +103,9 @@ def correlate(a, b) -> np.ndarray:
 
     ``a`` has length n, ``b`` length m <= n; the result has length n-m+1.
     Computed block-wise with a fast transform and rounded to the nearest
-    integer.  Raises :class:`OverflowRiskError` when the inputs exceed the
-    exactness guard (callers then use :func:`correlate_direct`).
+    integer.  Raises :class:`OverflowRiskError` when a value reaches
+    ``VALUE_LIMIT`` or the transform's rounding error bound reaches 1/2
+    (callers then use :func:`correlate_direct`).
     """
     a_arr = _as_int_array(a, "a")
     b_arr = _as_int_array(b, "b")
@@ -119,11 +114,8 @@ def correlate(a, b) -> np.ndarray:
         raise ValueError("kernel must be non-empty")
     if m > n:
         raise ValueError(f"kernel length {m} exceeds sequence length {n}")
-    a_max = int(a_arr.max()) if n else 0
-    b_max = int(b_arr.max()) if m else 0
-    _check_value_bound(a_max, b_max, m)
-    vals = _fft_correlate_batch(a_arr.astype(np.float64), b_arr.astype(np.float64)[None, :])[0]
-    return np.rint(vals).astype(np.int64)
+    _check_value_bound(int(a_arr.max()), int(b_arr.max()), m)
+    return _fft_correlate(a_arr[None, :], b_arr[None, :])[0]
 
 
 def correlate_direct(a, b) -> list[int]:
@@ -138,28 +130,25 @@ def correlate_direct(a, b) -> list[int]:
     return [sum(a_list[j + i] * b_list[i] for i in range(m)) for j in range(n - m + 1)]
 
 
-def _dense_text_codes(text: TextString) -> np.ndarray:
-    """Re-encode text symbols as dense positive integers 1..|distinct symbols|."""
-    codes = np.asarray(text.codes, dtype=np.int64)
-    if codes.size == 0:
-        return codes
-    _, dense = np.unique(codes, return_inverse=True)
-    return dense.astype(np.int64) + 1
+def _text_array(text: TextString) -> np.ndarray:
+    """The text's constant ids as an array; byte-sized ids convert at C speed."""
+    try:
+        return np.frombuffer(bytes(text.codes), dtype=np.uint8)
+    except ValueError:  # an id above 255
+        return np.asarray(text.codes, dtype=np.int64)
 
 
-def _constant_mismatch_counts(pattern: PatternString, text: TextString) -> np.ndarray:
+def _constant_mismatch_counts(pattern: PatternString, tcodes: np.ndarray) -> np.ndarray:
     """Per window, how many constant positions of the pattern disagree."""
-    n_out = len(text) - len(pattern) + 1
+    n_out = tcodes.size - len(pattern) + 1
     constants = pattern.constants
     if not constants:
         return np.zeros(n_out, dtype=np.int64)
     pcodes = np.asarray(pattern.codes, dtype=np.int64)
-    tcodes = np.asarray(text.codes, dtype=np.int64)
     cids = np.asarray([c.id for c in constants], dtype=np.int64)
     pattern_is = (pcodes[None, :] == cids[:, None]).astype(np.float64)
     text_not = (tcodes[None, :] != cids[:, None]).astype(np.float64)
-    vals = _fft_correlate_pairs(text_not, pattern_is)
-    return np.rint(vals).astype(np.int64).sum(axis=0)
+    return _fft_correlate(text_not, pattern_is).sum(axis=0)
 
 
 def wildcard_mask(pattern: PatternString, text: TextString) -> np.ndarray:
@@ -171,48 +160,33 @@ def wildcard_mask(pattern: PatternString, text: TextString) -> np.ndarray:
     """
     if len(pattern) > len(text):
         raise ValueError("pattern longer than text")
-    return _constant_mismatch_counts(pattern, text) == 0
+    return _constant_mismatch_counts(pattern, _text_array(text)) == 0
 
 
-def _occurrence_indicators(pattern: PatternString) -> tuple[list[Symbol], np.ndarray, np.ndarray]:
-    """Stack per-variable 0/1 occurrence rows and their occurrence counts."""
-    variables = list(pattern.variables)
-    pcodes = np.asarray(pattern.codes, dtype=np.int64)
-    vcodes = np.asarray([v.code for v in variables], dtype=np.int64)
-    rows = (pcodes[None, :] == vcodes[:, None]).astype(np.float64)
-    counts = np.asarray([pattern.occurrence_counts[v] for v in variables], dtype=np.int64)
-    return variables, rows, counts
+def _variable_tables(pattern: PatternString, tcodes: np.ndarray):
+    """Per pattern variable, in registration order: where all text symbols
+    under its occurrences agree, plus their window sums and counts.
 
-
-def _consistency_tables(pattern: PatternString, text: TextString):
-    """Correlations of the dense text and its squares against each variable row.
-
-    Returns (variables, counts, corr_text, corr_squares) where the
-    correlation tables have one row per pattern variable.  Falls back to
-    direct summation when the squared text exceeds the exactness guard.
+    The text is first re-encoded as dense ids 1..|distinct ids|.  Falls back
+    to direct summation when the squared text fails the exactness guard;
+    the dense text is never larger, so it passes whenever its squares do.
     """
-    variables, rows, counts = _occurrence_indicators(pattern)
-    m = len(pattern)
-    dense = _dense_text_codes(text)
-    top = int(dense.max()) if dense.size else 0
+    variables = list(pattern.variables)
+    vcodes = np.asarray([v.code for v in variables], dtype=np.int64)
+    rows = (np.asarray(pattern.codes, dtype=np.int64)[None, :] == vcodes[:, None]).astype(np.float64)
+    counts = rows.sum(axis=1).astype(np.int64)[:, None]
+    dense = np.unique(tcodes, return_inverse=True)[1].astype(np.int64) + 1
+    squares = dense * dense
     try:
-        _check_value_bound(top * top, 1, m)
-    except OverflowRiskError:
-        logger.warning(
-            "text alphabet too large for exact transform arithmetic; "
-            "falling back to direct summation"
-        )
-        dense_list = [int(v) for v in dense]
-        squares = [v * v for v in dense_list]
-        kernels = [[int(x) for x in row] for row in rows]
-        corr_text = np.array([correlate_direct(dense_list, k) for k in kernels], dtype=object)
-        corr_squares = np.array([correlate_direct(squares, k) for k in kernels], dtype=object)
-        return variables, counts, corr_text, corr_squares
-    corr_text = np.rint(_fft_correlate_batch(dense.astype(np.float64), rows)).astype(np.int64)
-    corr_squares = np.rint(
-        _fft_correlate_batch((dense * dense).astype(np.float64), rows)
-    ).astype(np.int64)
-    return variables, counts, corr_text, corr_squares
+        _check_value_bound(int(squares.max()), 1, len(pattern))
+        sums, square_sums = _fft_correlate(dense[None, :], rows), _fft_correlate(squares[None, :], rows)
+    except OverflowRiskError as exc:
+        logger.warning("falling back to direct summation: %s", exc)
+        kernels = rows.astype(np.int64).tolist()
+        sums = np.array([correlate_direct(dense.tolist(), k) for k in kernels], dtype=object)
+        square_sums = np.array([correlate_direct(squares.tolist(), k) for k in kernels], dtype=object)
+    # Squared-sum identity: k * sum(a_i^2) == (sum a_i)^2 iff all a_i equal.
+    return variables, np.asarray(counts * square_sums == sums * sums, dtype=bool), sums, counts
 
 
 def variable_consistent(pattern: PatternString, text: TextString, x: Symbol) -> np.ndarray:
@@ -225,11 +199,8 @@ def variable_consistent(pattern: PatternString, text: TextString, x: Symbol) -> 
         raise ValueError(f"{x} does not occur in the pattern")
     if len(pattern) > len(text):
         raise ValueError("pattern longer than text")
-    variables, counts, corr_text, corr_squares = _consistency_tables(pattern, text)
-    idx = variables.index(x)
-    count = int(counts[idx])
-    ok = count * corr_squares[idx] == corr_text[idx] * corr_text[idx]
-    return np.asarray(ok, dtype=bool)
+    variables, consistent, _, _ = _variable_tables(pattern, _text_array(text))
+    return consistent[variables.index(x)]
 
 
 def conv_match_all(pattern: PatternString, text: TextString, mode: str = "fvc") -> MatchReport:
@@ -238,17 +209,15 @@ def conv_match_all(pattern: PatternString, text: TextString, mode: str = "fvc") 
     n_out = len(text) - len(pattern) + 1
     if n_out <= 0:
         return MatchReport([])
-    ok = _constant_mismatch_counts(pattern, text) == 0
+    tcodes = _text_array(text)
+    ok = _constant_mismatch_counts(pattern, tcodes) == 0
     if pattern.variables:
-        variables, counts, corr_text, corr_squares = _consistency_tables(pattern, text)
-        for idx in range(len(variables)):
-            count = int(counts[idx])
-            same = count * corr_squares[idx] == corr_text[idx] * corr_text[idx]
-            ok &= np.asarray(same, dtype=bool)
+        variables, consistent, sums, counts = _variable_tables(pattern, tcodes)
+        ok &= consistent.all(axis=0)
         if injective and len(variables) > 1:
             # Window values are exact on consistent windows only, which is
             # all that survives the mask above.
-            values = [corr_text[idx] // int(counts[idx]) for idx in range(len(variables))]
+            values = sums // counts
             for i in range(len(variables)):
                 for j in range(i + 1, len(variables)):
                     ok &= np.asarray(values[i] != values[j], dtype=bool)

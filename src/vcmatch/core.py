@@ -12,6 +12,8 @@ text window.  Two matching modes exist:
 Constants and variables live in two disjoint, append-only registries that
 assign dense integer ids in first-appearance order.  All iteration orders
 downstream follow registration order, which keeps outputs deterministic.
+Patterns and texts store flat integer codes; :class:`Symbol` objects are
+derived from them for display and tests only.
 """
 
 from __future__ import annotations
@@ -67,16 +69,15 @@ class Symbol:
         return self.id if self.kind == "constant" else -1 - self.id
 
 
-def symbol_from_code(code: int) -> Symbol:
-    return Symbol.constant(code) if code >= 0 else Symbol.variable(-1 - code)
-
-
 class SymbolTable:
     """Append-only byte registries for constants and variables.
 
     Ids are dense and assigned in first-appearance order; the constant and
     variable registries are disjoint, so the same raw byte may name a
     pattern variable and a text constant without ambiguity.
+
+    Texts are encoded with one ``bytes.translate`` through a 256-byte table
+    of constant ids, rebuilt only after a constant has been interned.
     """
 
     def __init__(self) -> None:
@@ -84,6 +85,7 @@ class SymbolTable:
         self._variable_ids: dict[int, int] = {}
         self.constant_bytes: list[int] = []
         self.variable_bytes: list[int] = []
+        self._translation: Optional[tuple[bytes, bytes]] = None  # (table, known bytes)
 
     @property
     def num_constants(self) -> int:
@@ -99,6 +101,7 @@ class SymbolTable:
             ident = len(self.constant_bytes)
             self._constant_ids[byte] = ident
             self.constant_bytes.append(byte)
+            self._translation = None
         return ident
 
     def intern_variable(self, byte: int) -> int:
@@ -108,6 +111,26 @@ class SymbolTable:
             self._variable_ids[byte] = ident
             self.variable_bytes.append(byte)
         return ident
+
+    def encode_text(self, raw: bytes) -> tuple[int, ...]:
+        """Constant codes of a raw text, interning its unseen bytes first
+        (in first-appearance order)."""
+        unseen = raw.translate(None, self._byte_translation()[1])
+        for byte in sorted(set(unseen), key=unseen.find):
+            self.intern_constant(byte)
+        return tuple(raw.translate(self._byte_translation()[0]))
+
+    def _byte_translation(self) -> tuple[bytes, bytes]:
+        """The byte -> constant id translate table, and the bytes it maps."""
+        if self._translation is None:
+            known = {b: i for b, i in self._constant_ids.items() if 0 <= b < 256}
+            if max(known.values(), default=0) > 255:  # only after non-byte keys
+                raise InvalidInputError("a byte's constant id exceeds 255")
+            table = bytearray(256)
+            for byte, ident in known.items():
+                table[byte] = ident
+            self._translation = (bytes(table), bytes(known))
+        return self._translation
 
     def constant(self, char: Union[str, int]) -> Symbol:
         """Look up an already-registered constant by raw byte or character."""
@@ -143,88 +166,98 @@ def normalize_charset(variable_charset=None) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class PatternString:
-    """A non-empty sequence of constants and variables plus derived indexes."""
+    """A non-empty sequence of constants and variables plus derived indexes.
 
-    symbols: tuple[Symbol, ...]
+    ``codes`` holds a constant's id (>= 0) or ``-1 - id`` for a variable.
+    """
+
+    codes: tuple[int, ...]
     table: SymbolTable
 
     def __post_init__(self) -> None:
-        if not self.symbols:
+        if not self.codes:
             raise InvalidInputError("pattern must be non-empty")
-        for sym in self.symbols:
-            bound = self.table.num_variables if sym.is_variable else self.table.num_constants
-            if not 0 <= sym.id < bound:
-                raise InvalidInputError(f"symbol id out of registry range: {sym}")
+        for code in (min(self.codes), max(self.codes)):
+            if not -self.table.num_variables <= code < self.table.num_constants:
+                raise InvalidInputError(f"symbol id out of registry range: {_symbol(code)}")
 
     def __len__(self) -> int:
-        return len(self.symbols)
+        return len(self.codes)
 
     @cached_property
-    def codes(self) -> tuple[int, ...]:
-        """Per-position integer encoding (constants >= 0, variables < 0)."""
-        return tuple(s.code for s in self.symbols)
+    def symbols(self) -> tuple[Symbol, ...]:
+        """Per-position symbols, for display and tests."""
+        return tuple(map(_symbol, self.codes))
 
     @cached_property
     def variables(self) -> tuple[Symbol, ...]:
         """Distinct variables occurring in the pattern, in registration order."""
-        ids = sorted({s.id for s in self.symbols if s.is_variable})
+        ids = sorted({-1 - c for c in self.codes if c < 0})
         return tuple(Symbol.variable(i) for i in ids)
 
     @cached_property
     def constants(self) -> tuple[Symbol, ...]:
         """Distinct constants occurring in the pattern, in registration order."""
-        ids = sorted({s.id for s in self.symbols if not s.is_variable})
+        ids = sorted({c for c in self.codes if c >= 0})
         return tuple(Symbol.constant(i) for i in ids)
 
     @cached_property
     def occurrence_counts(self) -> dict[Symbol, int]:
-        counts: dict[Symbol, int] = {}
-        for sym in self.symbols:
-            if sym.is_variable:
-                counts[sym] = counts.get(sym, 0) + 1
-        return counts
+        return {sym: len(posns) for sym, posns in self.occurrence_positions.items()}
 
     @cached_property
     def occurrence_positions(self) -> dict[Symbol, tuple[int, ...]]:
         """0-based positions of each variable, ascending."""
-        where: dict[Symbol, list[int]] = {}
-        for pos, sym in enumerate(self.symbols):
-            if sym.is_variable:
-                where.setdefault(sym, []).append(pos)
-        return {sym: tuple(posns) for sym, posns in where.items()}
+        where: dict[int, list[int]] = {}
+        for pos, code in enumerate(self.codes):
+            if code < 0:
+                where.setdefault(code, []).append(pos)
+        return {_symbol(code): tuple(posns) for code, posns in where.items()}
 
     @cached_property
     def variables_by_prefix(self) -> tuple[tuple[int, ...], ...]:
         """For each prefix length j, the distinct variable ids in the first j symbols."""
         out: list[tuple[int, ...]] = [()]
         seen: list[int] = []
-        for sym in self.symbols:
-            if sym.is_variable and sym.id not in seen:
-                seen.append(sym.id)
+        for code in self.codes:
+            if code < 0 and -1 - code not in seen:
+                seen.append(-1 - code)
             out.append(tuple(seen))
         return tuple(out)
 
 
+_BYTE_IDS = bytes(range(256))
+
+
 @dataclass(frozen=True)
 class TextString:
-    """A (possibly empty) sequence of constants."""
+    """A (possibly empty) sequence of constants, stored as constant ids."""
 
-    symbols: tuple[Symbol, ...]
+    codes: tuple[int, ...]
     table: SymbolTable
 
     def __post_init__(self) -> None:
-        for sym in self.symbols:
-            if sym.is_variable:
+        bound = self.table.num_constants
+        try:  # C-level check for byte-sized ids
+            stray = bytes(self.codes).translate(None, _BYTE_IDS[:bound])
+        except ValueError:  # an id outside 0..255
+            stray = [c for c in self.codes if not 0 <= c < bound]
+        if stray:
+            if min(stray) < 0:
                 raise InvalidInputError("text must contain constants only")
-            if not 0 <= sym.id < self.table.num_constants:
-                raise InvalidInputError(f"symbol id out of registry range: {sym}")
+            raise InvalidInputError(f"symbol id out of registry range: {_symbol(max(stray))}")
 
     def __len__(self) -> int:
-        return len(self.symbols)
+        return len(self.codes)
 
     @cached_property
-    def codes(self) -> tuple[int, ...]:
-        return tuple(s.id for s in self.symbols)
+    def symbols(self) -> tuple[Symbol, ...]:
+        """Per-position symbols, for display and tests."""
+        return tuple(map(Symbol.constant, self.codes))
+
+
+def _symbol(code: int) -> Symbol:
+    return Symbol.constant(code) if code >= 0 else Symbol.variable(-1 - code)
 
 
 class Substitution:
@@ -297,20 +330,26 @@ def classify_input(raw_pattern, raw_text, variable_charset=None) -> tuple[Patter
     a constant, so a text may freely contain bytes from the variable charset.
     Registries are filled in first-appearance order, pattern first.
     """
-    pattern_bytes = _as_bytes(raw_pattern)
-    text_bytes = _as_bytes(raw_text)
-    if not pattern_bytes:
-        raise InvalidInputError("pattern must be non-empty")
+    pattern = encode_pattern(raw_pattern, variable_charset)
+    return pattern, encode_text(raw_text, pattern.table)
+
+
+def encode_pattern(raw, variable_charset=None) -> PatternString:
+    """Classify a raw pattern against a fresh table, interning its distinct
+    bytes in first-appearance order; bytes in the charset become variables."""
+    raw_bytes = _as_bytes(raw)
     charset = normalize_charset(variable_charset)
     table = SymbolTable()
-    pattern_symbols = tuple(
-        Symbol.variable(table.intern_variable(b))
-        if b in charset
-        else Symbol.constant(table.intern_constant(b))
-        for b in pattern_bytes
-    )
-    text_symbols = tuple(Symbol.constant(table.intern_constant(b)) for b in text_bytes)
-    return PatternString(pattern_symbols, table), TextString(text_symbols, table)
+    code_of = {
+        b: -1 - table.intern_variable(b) if b in charset else table.intern_constant(b)
+        for b in dict.fromkeys(raw_bytes)
+    }
+    return PatternString(tuple(map(code_of.__getitem__, raw_bytes)), table)
+
+
+def encode_text(raw, table: SymbolTable) -> TextString:
+    """Encode a raw text as constants of ``table``, interning unseen bytes."""
+    return TextString(table.encode_text(_as_bytes(raw)), table)
 
 
 def _as_bytes(raw) -> bytes:

@@ -93,7 +93,6 @@ class ShiftConditionTable:
         entries: list[list[Optional[ConditionEntry]]] = [[]]
         for k in range(1, m + 1):
             entries.append([base] + [None] * (k - 1))
-        symbols = pattern.symbols
         codes = pattern.codes
         for k in range(2, m + 1):
             row = entries[k]
@@ -106,18 +105,18 @@ class ShiftConditionTable:
                 reps = list(prev.reps)
                 members = [list(t) for t in prev.members]
                 links = dict(prev.prefix_links)
-                prefix_sym = symbols[j - 1]
-                if prefix_sym.is_variable:
-                    linked = links.get(prefix_sym.id)
+                prefix_code = codes[j - 1]
+                if prefix_code < 0:
+                    linked = links.get(-1 - prefix_code)
                     if linked is None:
-                        links[prefix_sym.id] = new_code
+                        links[-1 - prefix_code] = new_code
                         ok = True
                     elif linked == new_code:
                         ok = True
                     else:
                         ok = add_condition(reps, members, linked, new_code)
                 else:
-                    ok = add_condition(reps, members, prefix_sym.id, new_code)
+                    ok = add_condition(reps, members, prefix_code, new_code)
                 if ok:
                     row[j] = ConditionEntry(
                         tuple(reps), links, tuple(tuple(ms) for ms in members)

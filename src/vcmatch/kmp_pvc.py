@@ -156,26 +156,26 @@ class InjectiveShiftTable:
         entries: list[list[Optional[PartnerEntry]]] = [[]]
         for k in range(1, m + 1):
             entries.append([base] + [None] * (k - 1))
-        symbols = pattern.symbols
+        codes = pattern.codes
         for k in range(2, m + 1):
             row = entries[k]
             prev_row = entries[k - 1]
-            window_sym = symbols[k - 1]
+            window_code = codes[k - 1]
             for j in range(1, k):
                 prev = prev_row[j - 1]
                 if prev is None:
                     continue
-                prefix_sym = symbols[j - 1]
+                prefix_code = codes[j - 1]
                 entry = prev.copy()
-                if prefix_sym.is_variable:
-                    if window_sym.is_variable:
-                        ok = _join_var_prefix(entry, window_sym.id, prefix_sym.id)
+                if prefix_code < 0:
+                    if window_code < 0:
+                        ok = _join_var_prefix(entry, -1 - window_code, -1 - prefix_code)
                     else:
-                        ok = _join_const_prefix(entry, window_sym.id, prefix_sym.id)
-                elif window_sym.is_variable:
-                    ok = _join_var_const(entry, window_sym.id, prefix_sym.id)
+                        ok = _join_const_prefix(entry, window_code, -1 - prefix_code)
+                elif window_code < 0:
+                    ok = _join_var_const(entry, -1 - window_code, prefix_code)
                 else:
-                    ok = window_sym.id == prefix_sym.id
+                    ok = window_code == prefix_code
                 if ok:
                     row[j] = entry
         self.entries = entries

@@ -12,14 +12,7 @@ import inspect
 from typing import Union
 
 from .convolution import conv_match_all
-from .core import (
-    PatternString,
-    Symbol,
-    SymbolTable,
-    TextString,
-    is_injective_mode,
-    normalize_charset,
-)
+from .core import TextString, encode_pattern, encode_text, is_injective_mode
 from .kmp_fvc import FvcKmp
 from .kmp_pvc import PvcKmp
 from .naive import MatchReport, naive_all, window_match
@@ -71,17 +64,8 @@ class BaseMatcher:
         """Classify and preprocess the pattern; returns self."""
         check_pattern(pattern)
         self.injective_ = is_injective_mode(self.mode)
-        charset = normalize_charset(self.variables)
-        raw = pattern.encode() if isinstance(pattern, str) else bytes(pattern)
-        table = SymbolTable()
-        symbols = tuple(
-            Symbol.variable(table.intern_variable(b))
-            if b in charset
-            else Symbol.constant(table.intern_constant(b))
-            for b in raw
-        )
-        self.symbol_table_ = table
-        self.pattern_ = PatternString(symbols, table)
+        self.pattern_ = encode_pattern(pattern, self.variables)
+        self.symbol_table_ = self.pattern_.table
         self._compile()
         return self
 
@@ -97,10 +81,7 @@ class BaseMatcher:
             if text.table is not self.symbol_table_:
                 raise ValueError("text was classified against a different symbol table")
             return text
-        check_text(text)
-        raw = text.encode() if isinstance(text, str) else bytes(text)
-        table = self.symbol_table_
-        return TextString(tuple(Symbol.constant(table.intern_constant(b)) for b in raw), table)
+        return encode_text(check_text(text), self.symbol_table_)
 
     def find(self, text, with_witnesses: bool = False) -> MatchReport:
         """Search a text; optionally attach a witness binding per position."""

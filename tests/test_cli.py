@@ -1,8 +1,20 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import vcmatch
 from vcmatch.cli import main
+
+GENERATE_CASES = """
+import random
+from vcmatch.crosscheck import generate_case
+rng = random.Random(3)
+print([generate_case(rng, repeat_bias=bool(i % 2)) for i in range(200)])
+"""
 
 
 class TestFind:
@@ -116,6 +128,16 @@ class TestFind:
 
 
 class TestCrosscheck:
+    def test_cases_independent_of_hash_seed(self):
+        src = str(Path(vcmatch.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-c", GENERATE_CASES], env=env,
+                                  capture_output=True, text=True, check=True)
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+
     def test_thousand_cases_agree(self, capsys):
         code = main(["crosscheck", "--seed", "1", "--cases", "1000"])
         assert code == 0

@@ -1,9 +1,12 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from helpers import classify, random_pattern_text
+from vcmatch import convolution
 from vcmatch.convolution import (
     OverflowRiskError,
     conv_match_all,
@@ -51,6 +54,25 @@ class TestCorrelate:
         big = (1 << 25) - 1
         with pytest.raises(OverflowRiskError):
             correlate([big] * 512, [big] * 256)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rounding_error_past_one_half_raises(self, seed):
+        # Sums stay below 2**53 here, yet the transform's rounding error
+        # reaches whole units, so rounding would return wrong integers.
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, 1_480_000, 8192)
+        b = rng.integers(0, 1_480_000, 4096)
+        with pytest.raises(OverflowRiskError):
+            correlate(a, b)
+
+    def test_byte_squares_stay_on_transform(self):
+        # Dense byte codes square to at most 2**16; long 0/1 kernels must
+        # still pass the guard and round exactly.
+        rng = np.random.default_rng(5)
+        a = rng.integers(1, 257, 4096) ** 2
+        b = rng.integers(0, 2, 512)
+        want = sliding_window_view(a, 512) @ b
+        assert np.array_equal(correlate(a, b), want)
 
     def test_direct_summation_unbounded(self):
         big = 1 << 40
@@ -184,6 +206,18 @@ class TestConvMatchAll:
             for mode in ("fvc", "pvc"):
                 assert conv_match_all(P, T, mode).positions == naive_all(P, T, mode).positions
 
+    def test_direct_fallback_equals_oracle(self, monkeypatch, caplog):
+        def refuse(a_max, b_max, m):
+            raise OverflowRiskError("forced")
+
+        monkeypatch.setattr(convolution, "_check_value_bound", refuse)
+        rng = random.Random(26)
+        for _ in range(100):
+            P, T = random_pattern_text(rng)
+            for mode in ("fvc", "pvc"):
+                assert conv_match_all(P, T, mode).positions == naive_all(P, T, mode).positions
+        assert "falling back to direct summation" in caplog.text
+
     def test_large_alphabet_falls_back_to_direct_summation(self):
         # More than 2**13 distinct text symbols squares past the transform
         # guard; the backend must fall back and still agree with the oracle.
@@ -191,15 +225,13 @@ class TestConvMatchAll:
         table.intern_variable(ord("A"))
         n = 9000
         ids = [table.intern_constant(i) for i in range(n)]
-        pattern = PatternString(
-            (Symbol.variable(0), Symbol.variable(0), Symbol.constant(5)), table
-        )
-        text = TextString(tuple(Symbol.constant(i) for i in ids), table)
+        pattern = PatternString((-1, -1, 5), table)
+        text = TextString(tuple(ids), table)
         got = conv_match_all(pattern, text, "fvc").positions
         assert got == naive_all(pattern, text, "fvc").positions == []
         # A planted hit: the repeated variable needs two equal text symbols.
         planted = list(ids)
         planted[3] = 4
-        text2 = TextString(tuple(Symbol.constant(i) for i in planted), table)
+        text2 = TextString(tuple(planted), table)
         got2 = conv_match_all(pattern, text2, "fvc").positions
         assert got2 == naive_all(pattern, text2, "fvc").positions == [4]

@@ -4,14 +4,21 @@ import pytest
 
 from helpers import classify, sub
 from vcmatch.core import (
+    ASCII_UPPERCASE,
     InvalidInputError,
+    PatternString,
     Substitution,
     Symbol,
+    SymbolTable,
+    TextString,
     UndefinedVariableError,
     apply_substitution,
+    encode_pattern,
+    encode_text,
     extend_mapping,
     normalize_charset,
 )
+from vcmatch.matchers import ALGORITHMS, make_matcher
 
 
 class TestClassifyInput:
@@ -64,6 +71,111 @@ class TestClassifyInput:
         total = sum(P.occurrence_counts.values())
         n_const = sum(1 for s in P.symbols if not s.is_variable)
         assert total + n_const == len(P)
+
+
+def per_byte_encoding(raw_pattern: bytes, raw_texts, charset=ASCII_UPPERCASE):
+    """Codes and registries from interning one byte at a time, in order."""
+    table = SymbolTable()
+    pattern = tuple(
+        -1 - table.intern_variable(b) if b in charset else table.intern_constant(b)
+        for b in raw_pattern
+    )
+    texts = [tuple(table.intern_constant(b) for b in raw) for raw in raw_texts]
+    return pattern, texts, table
+
+
+def assert_same_encoding(raw_pattern: bytes, raw_texts, charset=ASCII_UPPERCASE):
+    want_pattern, want_texts, want_table = per_byte_encoding(raw_pattern, raw_texts, charset)
+    P = encode_pattern(raw_pattern, charset)
+    texts = [encode_text(raw, P.table) for raw in raw_texts]
+    assert P.codes == want_pattern
+    assert [T.codes for T in texts] == want_texts
+    assert P.table.constant_bytes == want_table.constant_bytes
+    assert P.table.variable_bytes == want_table.variable_bytes
+
+
+class TestEncoder:
+    def test_all_byte_values_shuffled(self):
+        rng = random.Random(11)
+        values = list(range(256))
+        for _ in range(5):
+            rng.shuffle(values)
+            text = bytes(values) * 3 + bytes(rng.sample(values, 40))
+            assert_same_encoding(b"AbA", [text])
+            assert_same_encoding(bytes(values), [text])
+
+    def test_text_bytes_from_variable_charset(self):
+        assert_same_encoding(b"AxBy", [b"ABAxzyBB", b"QQxA"])
+        P, T = classify("AxBy", "ABAxzyBB")
+        assert min(T.codes) >= 0
+        assert T.table.decode(T.symbols) == "ABAxzyBB"
+
+    def test_empty_text(self):
+        assert_same_encoding(b"Ab", [b""])
+        P, T = classify("Ab", "")
+        assert T.codes == () and len(T) == 0
+
+    def test_randomized_against_per_byte_loop(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            alphabet = bytes(rng.sample(range(256), rng.randint(1, 60)))
+            pattern = bytes(rng.choice(alphabet) for _ in range(rng.randint(1, 20)))
+            texts = [
+                bytes(rng.choice(alphabet) for _ in range(rng.choice([0, 1, 5, 300, 3000])))
+                for _ in range(rng.randint(1, 3))
+            ]
+            assert_same_encoding(pattern, texts)
+
+    def test_second_text_appends_new_constants(self):
+        matcher = make_matcher("kmp").fit("AbBa")
+        first = matcher._encode_text("abba")
+        before = list(matcher.symbol_table_.constant_bytes)
+        second = matcher._encode_text("zbyaz")
+        table = matcher.symbol_table_
+        assert table.constant_bytes == before + [ord("z"), ord("y")]
+        assert first.codes == tuple(before.index(b) for b in b"abba")
+        assert second.codes == tuple(table.constant_bytes.index(b) for b in b"zbyaz")
+        assert matcher.predict("abbazbaab") == [1, 5]
+
+    def test_non_byte_keys_with_byte_sized_ids(self):
+        # Ids equal keys here, so every byte's id fits the translate table.
+        table = SymbolTable()
+        for key in range(9000):
+            table.intern_constant(key)
+        T = encode_text(b"\x00a\xff", table)
+        assert T.codes == (0, ord("a"), 255)
+        assert table.num_constants == 9000
+
+    def test_non_byte_keys_never_truncate_ids(self):
+        table = SymbolTable()
+        for key in range(1000, 1300):
+            table.intern_constant(key)
+        with pytest.raises(InvalidInputError):
+            encode_text(b"bcd", table)
+        assert table.constant_bytes[300] == ord("b")
+
+    def test_hand_built_codes_are_range_checked(self):
+        P, T = classify("Ab", "ab")
+        with pytest.raises(InvalidInputError):
+            PatternString((-2, 0), P.table)
+        with pytest.raises(InvalidInputError):
+            PatternString((), P.table)
+        with pytest.raises(InvalidInputError):
+            TextString((0, 2), T.table)
+        with pytest.raises(InvalidInputError):
+            TextString((0, -1), T.table)
+        with pytest.raises(InvalidInputError):
+            TextString((300,), T.table)
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    @pytest.mark.parametrize("mode", ["fvc", "pvc"])
+    def test_find_leaves_symbols_unmaterialised(self, algo, mode):
+        matcher = make_matcher(algo, mode=mode).fit("ABAb")
+        text = matcher._encode_text("ababbbbab")
+        report = matcher.find(text, with_witnesses=True)
+        assert report.positions
+        assert "symbols" not in text.__dict__
+        assert "symbols" not in matcher.pattern_.__dict__
 
 
 class TestApplySubstitution:

@@ -260,7 +260,7 @@ class TestMatchFvc:
         import vcmatch.core as core
 
         T2 = core.TextString(
-            tuple(core.Symbol.constant(P.table.intern_constant(b)) for b in T2_raw.encode()),
+            tuple(P.table.intern_constant(b) for b in T2_raw.encode()),
             P.table,
         )
         assert engine.find_all(T2).positions == [1]

@@ -27,6 +27,7 @@ from .core import (
     classify_input,
     extend_mapping,
 )
+from .kmp import KmpEngine, ShiftTable
 from .kmp_fvc import BitmapSet, FvcKmp, add_condition, build_bitmaps, build_table, match_fvc
 from .kmp_pvc import PvcKmp, TBitmapSet, build_injective_table, build_t_bitmaps, match_pvc
 from .matchers import (

@@ -14,10 +14,37 @@ import time
 from typing import Optional
 
 from .bench import CSV_HEADER, run_bench
+from .core import MODES
 from .crosscheck import run_crosscheck
 from .matchers import ALGORITHMS, make_matcher
 
 DEFAULT_VARIABLES = string.ascii_uppercase
+
+
+def _checked(parse, accept, expected: str):
+    """argparse type: ``parse(value)``, rejected unless ``accept`` holds."""
+
+    def check(value: str):
+        result = parse(value)
+        if not accept(result):
+            raise argparse.ArgumentTypeError(f"{value!r} is not {expected}")
+        return result
+
+    check.__name__ = parse.__name__  # argparse names it in "invalid int value"
+    return check
+
+
+def _names(choices: tuple[str, ...]):
+    return _checked(
+        lambda value: tuple(v for v in value.split(",") if v),
+        lambda names: bool(names) and set(names) <= set(choices),
+        f"a comma-separated list of {','.join(choices)}",
+    )
+
+
+COUNT = _checked(int, lambda n: n >= 0, "a count (>= 0)")
+POSITIVE = _checked(int, lambda n: n >= 1, "a positive int")
+LETTERS = _checked(int, lambda n: 1 <= n <= 26, "in 1..26 (one letter each, A-Z or a-z)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,11 +85,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     cross = sub.add_parser("crosscheck", help="run all backends on random instances")
     cross.add_argument("--seed", type=int, default=1)
-    cross.add_argument("--cases", type=int, default=1000)
-    cross.add_argument("--max-m", type=int, default=10)
-    cross.add_argument("--max-n", type=int, default=50)
-    cross.add_argument("--num-variables", type=int, default=3)
-    cross.add_argument("--num-constants", type=int, default=3)
+    cross.add_argument("--cases", type=COUNT, default=1000)
+    cross.add_argument("--max-m", type=POSITIVE, default=10)
+    cross.add_argument("--max-n", type=POSITIVE, default=50)
+    cross.add_argument("--num-variables", type=LETTERS, default=3)
+    cross.add_argument("--num-constants", type=LETTERS, default=3)
     cross.add_argument(
         "--adversarial",
         action="store_true",
@@ -76,11 +103,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="16384,32768,65536",
         help="comma-separated text lengths",
     )
-    bench.add_argument("--m", type=int, default=64)
-    bench.add_argument("--algos", default="naive,conv,kmp")
-    bench.add_argument("--modes", default="fvc,pvc")
-    bench.add_argument("--num-variables", type=int, default=3)
-    bench.add_argument("--num-constants", type=int, default=3)
+    bench.add_argument("--m", type=POSITIVE, default=64)
+    bench.add_argument("--algos", type=_names(ALGORITHMS), default="naive,conv,kmp")
+    bench.add_argument("--modes", type=_names(MODES), default="fvc,pvc")
+    bench.add_argument("--num-variables", type=LETTERS, default=3)
+    bench.add_argument("--num-constants", type=LETTERS, default=3)
     bench.add_argument("--seed", type=int, default=1)
     bench.add_argument("--repeats", type=int, default=3)
     return parser
@@ -193,8 +220,8 @@ def _cmd_bench(args) -> int:
     rows = run_bench(
         ns,
         m=args.m,
-        algos=tuple(a for a in args.algos.split(",") if a),
-        modes=tuple(m for m in args.modes.split(",") if m),
+        algos=args.algos,
+        modes=args.modes,
         num_variables=args.num_variables,
         num_constants=args.num_constants,
         seed=args.seed,

@@ -13,8 +13,7 @@ from typing import Union
 
 from .convolution import conv_match_all
 from .core import TextString, encode_pattern, encode_text, is_injective_mode
-from .kmp_fvc import FvcKmp
-from .kmp_pvc import PvcKmp
+from .kmp import KmpEngine
 from .naive import MatchReport, naive_all, window_match
 
 ALGORITHMS = ("naive", "conv", "kmp")
@@ -40,6 +39,10 @@ def check_text(text) -> Union[str, bytes]:
 
 class BaseMatcher:
     """Shared parameter handling, input validation, and search surface."""
+
+    def __init__(self, mode: str = "fvc", variables=None):
+        self.mode = mode
+        self.variables = variables
 
     def get_params(self, deep: bool = True) -> dict:
         names = [
@@ -106,20 +109,12 @@ class BaseMatcher:
 class NaiveMatcher(BaseMatcher):
     """Window-by-window scan; the reference backend."""
 
-    def __init__(self, mode: str = "fvc", variables=None):
-        self.mode = mode
-        self.variables = variables
-
     def _search(self, text: TextString) -> MatchReport:
         return naive_all(self.pattern_, text, mode=self.mode)
 
 
 class ConvolutionMatcher(BaseMatcher):
     """Cross-correlation backend."""
-
-    def __init__(self, mode: str = "fvc", variables=None):
-        self.mode = mode
-        self.variables = variables
 
     def _search(self, text: TextString) -> MatchReport:
         return conv_match_all(self.pattern_, text, mode=self.mode)
@@ -129,13 +124,11 @@ class KmpMatcher(BaseMatcher):
     """Single-pass backend with bit-packed shift tables."""
 
     def __init__(self, mode: str = "fvc", variables=None, chunk_width: int = 64):
-        self.mode = mode
-        self.variables = variables
+        super().__init__(mode, variables)
         self.chunk_width = chunk_width
 
     def _compile(self) -> None:
-        engine_cls = PvcKmp if self.injective_ else FvcKmp
-        self.engine_ = engine_cls(self.pattern_, chunk_width=self.chunk_width)
+        self.engine_ = KmpEngine(self.pattern_, self.injective_, self.chunk_width)
 
     def _search(self, text: TextString) -> MatchReport:
         return self.engine_.find_all(text)

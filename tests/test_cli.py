@@ -127,6 +127,31 @@ class TestFind:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--algos", "foo"],
+        ["bench", "--modes", "xyz"],
+        ["bench", "--m", "0"],
+        ["crosscheck", "--max-m", "0"],
+        ["crosscheck", "--max-n", "0"],
+        ["crosscheck", "--num-variables", "0"],
+        ["crosscheck", "--num-constants", "0"],
+        ["crosscheck", "--cases", "-1"],
+        ["crosscheck", "--num-variables", "30"],
+    ],
+)
+def test_bad_bench_and_crosscheck_flags_exit_2(argv, capsys):
+    # Exit 1 means "backends disagree", so a bad flag must neither crash
+    # nor run with a silently altered value.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "error: argument" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 class TestCrosscheck:
     def test_cases_independent_of_hash_seed(self):
         src = str(Path(vcmatch.__file__).resolve().parents[1])

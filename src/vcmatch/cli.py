@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--num-variables", type=LETTERS, default=3)
     bench.add_argument("--num-constants", type=LETTERS, default=3)
     bench.add_argument("--seed", type=int, default=1)
-    bench.add_argument("--repeats", type=int, default=3)
+    bench.add_argument("--repeats", type=POSITIVE, default=3)
     return parser
 
 
@@ -215,7 +215,9 @@ def _cmd_bench(args) -> int:
     try:
         ns = [int(v) for v in args.n_grid.split(",") if v]
     except ValueError:
-        print(f"error: bad --n-grid {args.n_grid!r}", file=sys.stderr)
+        ns = []
+    if not ns or min(ns) < 1:
+        print(f"error: bad --n-grid {args.n_grid!r} (positive ints expected)", file=sys.stderr)
         return 2
     rows = run_bench(
         ns,

@@ -13,10 +13,15 @@ not kept.  The failure function is then a handful of word-wise ANDs and a
 highest-set-bit scan.  pvc needs no pairwise-distinct rows: the preceding
 bindings are injective by construction, and live pvc cells never tie two
 window variables together.
+
+The engine memoises the failure function per (prefix length, bindings), the
+lazy-DFA idea of RE2: the cache is flushed whenever it reaches
+``FAILURE_CACHE_CAP`` entries, so memory stays bounded on any input.
 """
 
 from __future__ import annotations
 
+import logging
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -25,6 +30,10 @@ from .core import PatternString, Substitution, TextString
 from .naive import MatchReport
 
 MACHINE_WORD = 64
+# About 3 MiB of cached failure results with 26 variables.
+FAILURE_CACHE_CAP = 2048
+
+logger = logging.getLogger(__name__)
 
 
 def and_words(acc: list[int], row: Sequence[int]) -> None:
@@ -191,8 +200,10 @@ def build_bitmaps(
 class KmpEngine:
     """Preprocessed pattern: bit rows plus per-cell prefix links.
 
-    Immutable after construction; each text scan keeps its own cursor and
-    bindings, so one instance may serve many texts.
+    The bit rows and links are immutable after construction; each text scan
+    keeps its own cursor and bindings, so one instance may serve many texts.
+    The one state that grows during searches is the failure cache, a pure
+    cache: answers never depend on what it holds.
     """
 
     def __init__(
@@ -203,6 +214,8 @@ class KmpEngine:
         self.bitmaps, self.links = flatten_rows(
             pattern, shift_rows(pattern, injective), injective, chunk_width
         )
+        # (k, *binding values in variables_by_prefix[k] order) -> (j, succeeding)
+        self._failure_cache: dict[tuple, tuple[int, dict[int, int]]] = {}
 
     def failure(self, k: int, pi: Substitution) -> tuple[int, Substitution]:
         """Resume data after a mismatch at pattern position k+1.
@@ -221,10 +234,20 @@ class KmpEngine:
         expected = set(self.pattern.variables_by_prefix[k])
         if set(pi.forward) != expected:
             raise ValueError("bindings must cover exactly the variables of the prefix")
-        j, forward = self._failure_ids(k, pi.forward)
+        # The cache keys on binding values alone, so they go in scan order.
+        forward = {vid: pi.forward[vid] for vid in self.pattern.variables_by_prefix[k]}
+        j, forward = self._failure_ids(k, forward)
         return j, Substitution(forward)
 
     def _failure_ids(self, k: int, forward: dict[int, int]) -> tuple[int, dict[int, int]]:
+        """``failure`` on raw ids; ``forward``'s keys must be in
+        ``variables_by_prefix[k]`` order, as the scan inserts them.  The
+        returned dict is the caller's to mutate."""
+        cache = self._failure_cache
+        key = (k, *forward.values())
+        hit = cache.get(key)
+        if hit is not None:
+            return hit[0], hit[1].copy()
         bitmaps = self.bitmaps
         words = list(bitmaps.valid[k])
         value_rows = bitmaps.allow_value[k]
@@ -248,7 +271,11 @@ class KmpEngine:
             code = links[i]
             succeeding[vid] = code if code >= 0 else forward[-1 - code]
             i += 1
-        return j, succeeding
+        if len(cache) >= FAILURE_CACHE_CAP:
+            logger.debug("kmp failure cache flushed at %d entries", len(cache))
+            cache.clear()
+        cache[key] = (j, succeeding)
+        return j, succeeding.copy()
 
     def find_all(self, text: TextString) -> MatchReport:
         """Scan the text once, shifting through the failure rows on mismatch."""

@@ -152,6 +152,27 @@ def test_bad_bench_and_crosscheck_flags_exit_2(argv, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--n-grid=-5,0"],
+        ["bench", "--n-grid", "0"],
+        ["bench", "--n-grid", ","],
+        ["bench", "--repeats", "0"],
+        ["bench", "--repeats", "-2"],
+    ],
+)
+def test_bench_rejects_nonpositive_sizes_and_repeats(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 class TestCrosscheck:
     def test_cases_independent_of_hash_seed(self):
         src = str(Path(vcmatch.__file__).resolve().parents[1])

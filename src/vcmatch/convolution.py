@@ -2,24 +2,31 @@
 
 A window matches iff (1) every constant position of the pattern agrees with
 the text and (2) for each variable, all text symbols aligned under its
-occurrences are equal.  Both checks reduce to sliding cross-correlations:
+occurrences are equal.  In injective (pvc) mode the per-variable window
+values must additionally be pairwise distinct.  :func:`conv_match_all`
+decides this decomposition on one of two paths, picked per search by
+estimated cost:
 
-* constant agreement is checked with one 0/1 indicator correlation per
-  distinct pattern constant;
-* per-variable equality uses the squared-sum identity
-  ``k * sum(a_i^2) == (sum(a_i))^2  iff  all a_i equal``,
-  which needs two correlations per variable (text and squared text against
-  the variable's occurrence indicator).
+* the *direct* path makes one slice compare over the text per pattern
+  position: a constant position against its constant, a repeated variable
+  against the text under the variable's first occurrence, and under pvc
+  one compare per pair of first occurrences.  It is exact for any ids and
+  wins for all but long patterns over few windows;
+* the *FFT* path reduces both checks to sliding cross-correlations: one
+  0/1 indicator correlation per distinct pattern constant, and per variable
+  the squared-sum identity ``k * sum(a_i^2) == (sum(a_i))^2  iff  all a_i
+  equal`` (Clifford & Clifford, IPL 2007), which needs two correlations
+  (text and squared text against the variable's occurrence indicator).
 
-In injective (pvc) mode the per-variable window values must additionally be
-pairwise distinct.  Correlations run block-wise over a fast transform and
-are rounded back to exact integers; inputs whose rounding error bound
-reaches 1/2 raise :class:`OverflowRiskError` and callers fall back to direct
-summation with arbitrary-precision integers.
+Correlations run block-wise over a fast transform and are rounded back to
+exact integers; inputs whose rounding error bound reaches 1/2 raise
+:class:`OverflowRiskError`, and :func:`conv_match_all` then takes the
+direct path.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 
@@ -40,6 +47,32 @@ VALUE_LIMIT = 1 << 26
 FFT_EPS = 2.0**-53
 FFT_ERROR_PER_LEVEL = 16.0
 FFT_ERROR_BASE = 4.0
+
+# Path costs in nanoseconds, for _estimated_costs.  Direct: per compare, a
+# call cost plus a cost per window.  FFT: a call cost plus a cost per row
+# (one per distinct constant, two per variable), window-plus-m and transform
+# level.  Fitted by least squares on relative error to the best of 4x30
+# timings of both paths at m = 1..2048 and 16..16,384 windows, fvc and pvc,
+# 1-6 variables and 1-5 constants (2-vCPU x86 host, Python 3.11, numpy
+# 2.4); picking by the fit cost 1.4% more than always picking the faster
+# path.  Microseconds, direct / FFT, pvc patterns over 3 variables and 3
+# constants:
+#
+#       m | 16 windows | 1,024 windows | 16,384 windows
+#      16 |    18  168 |       21  324 |        30 3042
+#      64 |    60  197 |       70  346 |       126 2678
+#     256 |   229  266 |      260  388 |       437 2762
+#     512 |   459  350 |      533  478 |      1307 2797
+#    1024 |   920  493 |      986  560 |      1913 3569
+#    2048 |  1759  874 |     1949  899 |      3455 4170
+DIRECT_COMPARE_NS = 950.0
+DIRECT_WINDOW_NS = 0.054
+FFT_CALL_NS = 106_000.0
+FFT_ROW_NS = 2.5
+# Windows per FFT text slice.  On a 1 MiB text (m = 32..4,096, pvc, 3
+# variables) 2**16 traced a 14 MiB peak against 164-196 MiB for the whole
+# text at once, and ran faster than 2**12, 2**14 or the whole text.
+FFT_CHUNK_WINDOWS = 1 << 16
 
 
 class OverflowRiskError(OverflowError):
@@ -167,9 +200,10 @@ def _variable_tables(pattern: PatternString, tcodes: np.ndarray):
     """Per pattern variable, in registration order: where all text symbols
     under its occurrences agree, plus their window sums and counts.
 
-    The text is first re-encoded as dense ids 1..|distinct ids|.  Falls back
-    to direct summation when the squared text fails the exactness guard;
-    the dense text is never larger, so it passes whenever its squares do.
+    The text is first re-encoded as dense ids 1..|distinct ids|.  Raises
+    :class:`OverflowRiskError` when the squared text fails the exactness
+    guard; the dense text is never larger, so it passes whenever its
+    squares do.
     """
     variables = list(pattern.variables)
     vcodes = np.asarray([v.code for v in variables], dtype=np.int64)
@@ -177,23 +211,18 @@ def _variable_tables(pattern: PatternString, tcodes: np.ndarray):
     counts = rows.sum(axis=1).astype(np.int64)[:, None]
     dense = np.unique(tcodes, return_inverse=True)[1].astype(np.int64) + 1
     squares = dense * dense
-    try:
-        _check_value_bound(int(squares.max()), 1, len(pattern))
-        sums, square_sums = _fft_correlate(dense[None, :], rows), _fft_correlate(squares[None, :], rows)
-    except OverflowRiskError as exc:
-        logger.warning("falling back to direct summation: %s", exc)
-        kernels = rows.astype(np.int64).tolist()
-        sums = np.array([correlate_direct(dense.tolist(), k) for k in kernels], dtype=object)
-        square_sums = np.array([correlate_direct(squares.tolist(), k) for k in kernels], dtype=object)
+    _check_value_bound(int(squares.max()), 1, len(pattern))
+    sums, square_sums = _fft_correlate(dense[None, :], rows), _fft_correlate(squares[None, :], rows)
     # Squared-sum identity: k * sum(a_i^2) == (sum a_i)^2 iff all a_i equal.
-    return variables, np.asarray(counts * square_sums == sums * sums, dtype=bool), sums, counts
+    return variables, counts * square_sums == sums * sums, sums, counts
 
 
 def variable_consistent(pattern: PatternString, text: TextString, x: Symbol) -> np.ndarray:
     """Boolean mask over windows: True iff all text symbols under ``x`` agree.
 
     Uses the squared-sum identity on two correlations against the 0/1
-    occurrence row of ``x``.
+    occurrence row of ``x``; raises :class:`OverflowRiskError` when the
+    text has too many distinct symbols for exact rounding.
     """
     if x not in pattern.occurrence_counts:
         raise ValueError(f"{x} does not occur in the pattern")
@@ -203,22 +232,87 @@ def variable_consistent(pattern: PatternString, text: TextString, x: Symbol) -> 
     return consistent[variables.index(x)]
 
 
-def conv_match_all(pattern: PatternString, text: TextString, mode: str = "fvc") -> MatchReport:
-    """Find all matching windows with the correlation backend."""
-    injective = is_injective_mode(mode)
-    n_out = len(text) - len(pattern) + 1
-    if n_out <= 0:
-        return MatchReport([])
-    tcodes = _text_array(text)
+def _estimated_costs(m: int, n_out: int, pairs: int, rows: int) -> tuple[float, float]:
+    """Estimated nanoseconds of the direct and the FFT path for a pattern of
+    length ``m`` over ``n_out`` windows, with ``pairs`` variable pairs to
+    tell apart (0 under fvc) and ``rows`` correlation rows."""
+    direct = (m + pairs) * (DIRECT_COMPARE_NS + DIRECT_WINDOW_NS * n_out)
+    levels = _next_pow2(2 * m - 1).bit_length()
+    fft = FFT_CALL_NS + FFT_ROW_NS * rows * (n_out + m) * levels
+    return direct, fft
+
+
+def _direct_ok(pattern: PatternString, tcodes: np.ndarray, n_out: int, injective: bool) -> np.ndarray:
+    """Per window, the decomposition as one slice compare per pattern position."""
+    ok = np.ones(n_out, dtype=bool)
+    hits: dict[int, np.ndarray] = {}  # constant id -> where the text holds it
+    first: dict[int, np.ndarray] = {}  # variable code -> text under its first occurrence
+    for off, code in enumerate(pattern.codes):
+        if code >= 0:
+            hit = hits.get(code)
+            if hit is None:
+                hit = hits[code] = tcodes == code
+            ok &= hit[off : off + n_out]
+        elif code in first:
+            ok &= tcodes[off : off + n_out] == first[code]
+        else:
+            first[code] = tcodes[off : off + n_out]
+        # Random text leaves no window standing after a few positions.  A
+        # bool argmax stops at the first True, so this probe is cheap.
+        if off % 8 == 7 and not ok[ok.argmax()]:
+            return ok
+    if injective:
+        for a, b in itertools.combinations(first.values(), 2):
+            ok &= a != b
+    return ok
+
+
+def _fft_ok(pattern: PatternString, tcodes: np.ndarray, injective: bool) -> np.ndarray:
+    """Per window, the decomposition through blocked FFT correlations."""
     ok = _constant_mismatch_counts(pattern, tcodes) == 0
     if pattern.variables:
         variables, consistent, sums, counts = _variable_tables(pattern, tcodes)
         ok &= consistent.all(axis=0)
-        if injective and len(variables) > 1:
+        if injective:
             # Window values are exact on consistent windows only, which is
             # all that survives the mask above.
             values = sums // counts
-            for i in range(len(variables)):
-                for j in range(i + 1, len(variables)):
-                    ok &= np.asarray(values[i] != values[j], dtype=bool)
-    return MatchReport([int(i) + 1 for i in np.flatnonzero(ok)])
+            for i, j in itertools.combinations(range(len(variables)), 2):
+                ok &= values[i] != values[j]
+    return ok
+
+
+def conv_match_all(pattern: PatternString, text: TextString, mode: str = "fvc") -> MatchReport:
+    """Find all matching windows with the correlation backend.
+
+    Takes the direct or the FFT path, whichever :func:`_estimated_costs`
+    rates cheaper, and the direct path whenever the text has too many
+    distinct symbols for the FFT path to round exactly.
+    """
+    injective = is_injective_mode(mode)
+    m = len(pattern)
+    n_out = len(text) - m + 1
+    if n_out <= 0:
+        return MatchReport([])
+    tcodes = _text_array(text)
+    num_variables = len(pattern.variables)
+    pairs = math.comb(num_variables, 2) if injective else 0
+    # Distinct codes count each constant and each variable once.
+    direct, fft = _estimated_costs(m, n_out, pairs, len(set(pattern.codes)) + num_variables)
+    path = "direct" if direct <= fft else "fft"
+    if num_variables:
+        try:  # dense ids never exceed the table's constant count
+            _check_value_bound(text.table.num_constants**2, 1, m)
+        except OverflowRiskError as exc:
+            logger.warning("falling back to direct summation: %s", exc)
+            path = "fallback"
+    logger.debug("%s path: m=%d, %d windows, direct ~%.0f ns, fft ~%.0f ns", path, m, n_out, direct, fft)
+    if path == "fft":
+        # Text slices holding FFT_CHUNK_WINDOWS windows (or m, if more),
+        # overlapping by m-1, bound the transform stack.
+        step = max(FFT_CHUNK_WINDOWS, m)
+        slices = (tcodes[start : start + step + m - 1] for start in range(0, n_out, step))
+        ok = np.concatenate([_fft_ok(pattern, part, injective) for part in slices])
+    else:
+        ok = _direct_ok(pattern, tcodes, n_out, injective)
+    return MatchReport((np.flatnonzero(ok) + 1).tolist())

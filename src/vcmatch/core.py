@@ -247,6 +247,15 @@ class TextString:
                 raise InvalidInputError("text must contain constants only")
             raise InvalidInputError(f"symbol id out of registry range: {_symbol(max(stray))}")
 
+    @classmethod
+    def _encoded(cls, codes: tuple[int, ...], table: SymbolTable) -> "TextString":
+        """A text from :meth:`SymbolTable.encode_text`, whose codes are valid
+        by construction, so the checks of ``__post_init__`` are skipped."""
+        text = object.__new__(cls)
+        object.__setattr__(text, "codes", codes)
+        object.__setattr__(text, "table", table)
+        return text
+
     def __len__(self) -> int:
         return len(self.codes)
 
@@ -349,7 +358,7 @@ def encode_pattern(raw, variable_charset=None) -> PatternString:
 
 def encode_text(raw, table: SymbolTable) -> TextString:
     """Encode a raw text as constants of ``table``, interning unseen bytes."""
-    return TextString(table.encode_text(_as_bytes(raw)), table)
+    return TextString._encoded(table.encode_text(_as_bytes(raw)), table)
 
 
 def _as_bytes(raw) -> bytes:

@@ -1,5 +1,7 @@
 import itertools
+import logging
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from helpers import classify, random_pattern_text
 from vcmatch import convolution
+from vcmatch.bench import make_inputs
 from vcmatch.convolution import (
     OverflowRiskError,
     conv_match_all,
@@ -15,7 +18,8 @@ from vcmatch.convolution import (
     variable_consistent,
     wildcard_mask,
 )
-from vcmatch.core import PatternString, Symbol, SymbolTable, TextString
+from vcmatch.core import PatternString, Symbol, SymbolTable, TextString, classify_input
+from vcmatch.crosscheck import generate_case
 from vcmatch.naive import naive_all, window_match
 
 
@@ -235,3 +239,87 @@ class TestConvMatchAll:
         text2 = TextString(tuple(planted), table)
         got2 = conv_match_all(pattern, text2, "fvc").positions
         assert got2 == naive_all(pattern, text2, "fvc").positions == [4]
+
+
+def force_path(monkeypatch, path):
+    costs = (0.0, 1.0) if path == "direct" else (1.0, 0.0)
+    monkeypatch.setattr(convolution, "_estimated_costs", lambda *shape: costs)
+
+
+def logged_paths(caplog) -> list[str]:
+    return [
+        r.getMessage().split()[0]
+        for r in caplog.records
+        if r.name == "vcmatch.convolution" and r.levelno == logging.DEBUG
+    ]
+
+
+class TestPathChoice:
+    @pytest.mark.parametrize("path", ["direct", "fft", "fft-sliced"])
+    @pytest.mark.parametrize("repeat_bias", [False, True])
+    def test_forced_path_equals_oracle(self, path, repeat_bias, monkeypatch, caplog):
+        # The acceptance corpus is short enough to run direct only, so each
+        # path is forced here, on planted positives and repeated variables.
+        force_path(monkeypatch, path)
+        if path == "fft-sliced":  # slices of m windows
+            monkeypatch.setattr(convolution, "FFT_CHUNK_WINDOWS", 1)
+        rng = random.Random(28 + repeat_bias)
+        with caplog.at_level(logging.DEBUG, logger="vcmatch.convolution"):
+            for _ in range(250):
+                P, T = classify_input(*generate_case(rng, max_m=40, max_n=120, repeat_bias=repeat_bias))
+                for mode in ("fvc", "pvc"):
+                    assert conv_match_all(P, T, mode).positions == naive_all(P, T, mode).positions
+        assert set(logged_paths(caplog)) == {path.split("-")[0]}
+
+    def chosen_path(self, caplog, raw_pattern, raw_text, mode) -> str:
+        P, T = classify_input(raw_pattern, raw_text)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="vcmatch.convolution"):
+            conv_match_all(P, T, mode)
+        (path,) = logged_paths(caplog)
+        return path
+
+    def test_long_pattern_over_few_windows_takes_fft(self, caplog):
+        # The periodic-long benchmark slice: m=512, 1,024 windows, pvc, 3 variables.
+        text = b"axyz" * 383 + b"axy"
+        assert self.chosen_path(caplog, b"aABC" * 128, text, "pvc") == "fft"
+
+    def test_long_text_takes_direct(self, caplog):
+        pattern, text = make_inputs(4096 + 63, 64)
+        assert self.chosen_path(caplog, pattern, text, "fvc") == "direct"
+        assert self.chosen_path(caplog, pattern, text, "pvc") == "direct"
+
+    def test_short_searches_take_direct(self, caplog):
+        rng = random.Random(29)
+        for _ in range(200):
+            pattern, text = generate_case(rng, max_m=10, max_n=50)
+            if len(pattern) <= len(text):
+                for mode in ("fvc", "pvc"):
+                    assert self.chosen_path(caplog, pattern, text, mode) == "direct"
+
+    def test_refused_guard_logs_fallback_path(self, monkeypatch, caplog):
+        def refuse(a_max, b_max, m):
+            raise OverflowRiskError("forced")
+
+        monkeypatch.setattr(convolution, "_check_value_bound", refuse)
+        assert self.chosen_path(caplog, b"aABC" * 128, b"axyz" * 383 + b"axy", "pvc") == "fallback"
+        assert "falling back to direct summation" in caplog.text
+
+    @pytest.mark.parametrize("path", ["direct", "fft"])
+    def test_one_mib_search_memory_is_bounded(self, path, monkeypatch):
+        # Transforming the whole text at once held about 164 MiB here.  Every
+        # window agrees on constants and repeats, so no compare is skipped;
+        # only injectivity rejects them.
+        force_path(monkeypatch, path)
+        pattern, _ = make_inputs(64, 32)
+        P, T = classify_input(pattern.translate(str.maketrans("bc", "aa")), "a" * (1 << 20))
+        assert len(P.variables) > 1
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got = conv_match_all(P, T, "pvc").positions
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert got == []
+        assert peak < 32 * 2**20

@@ -154,6 +154,17 @@ class TestEncoder:
             encode_text(b"bcd", table)
         assert table.constant_bytes[300] == ord("b")
 
+    def test_encoder_output_equals_checked_hand_built_text(self):
+        # The encoder skips the checks of a hand-built TextString; the same
+        # codes must pass them and compare equal.
+        rng = random.Random(13)
+        for _ in range(200):
+            alphabet = bytes(rng.sample(range(256), rng.randint(1, 60)))
+            P = encode_pattern(bytes(rng.choice(alphabet) for _ in range(rng.randint(1, 8))))
+            for _ in range(3):
+                T = encode_text(bytes(rng.choice(alphabet) for _ in range(rng.randint(0, 200))), P.table)
+                assert TextString(T.codes, T.table) == T
+
     def test_hand_built_codes_are_range_checked(self):
         P, T = classify("Ab", "ab")
         with pytest.raises(InvalidInputError):

@@ -7,14 +7,6 @@ cross-checking backends are provided: a brute-force scan, a cross-
 correlation method, and a single-pass scanner with bit-packed shift tables.
 """
 
-from .convolution import (
-    OverflowRiskError,
-    conv_match_all,
-    correlate,
-    correlate_direct,
-    variable_consistent,
-    wildcard_mask,
-)
 from .core import (
     InvalidInputError,
     PatternString,
@@ -41,3 +33,21 @@ from .matchers import (
 from .naive import MatchReport, naive_all, window_match
 
 __version__ = "0.1.0"
+
+# The convolution names load numpy, so they are imported on first use (PEP 562).
+_CONVOLUTION_NAMES = frozenset({
+    "OverflowRiskError",
+    "conv_match_all",
+    "correlate",
+    "correlate_direct",
+    "variable_consistent",
+    "wildcard_mask",
+})
+
+
+def __getattr__(name: str):
+    if name in _CONVOLUTION_NAMES:
+        from . import convolution
+
+        return getattr(convolution, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

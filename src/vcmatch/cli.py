@@ -7,6 +7,7 @@ Exit codes: 0 on success, 1 when backends disagree under ``--algo all``,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import string
 import sys
@@ -42,9 +43,16 @@ def _names(choices: tuple[str, ...]):
     )
 
 
+def int_list(value: str) -> list[int]:
+    return [int(v) for v in value.split(",") if v]
+
+
 COUNT = _checked(int, lambda n: n >= 0, "a count (>= 0)")
 POSITIVE = _checked(int, lambda n: n >= 1, "a positive int")
 LETTERS = _checked(int, lambda n: 1 <= n <= 26, "in 1..26 (one letter each, A-Z or a-z)")
+SIZES = _checked(
+    int_list, lambda ns: bool(ns) and min(ns) >= 1, "a comma-separated list of positive ints"
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,6 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="print a CSV timing grid")
     bench.add_argument(
         "--n-grid",
+        type=SIZES,
         default="16384,32768,65536",
         help="comma-separated text lengths",
     )
@@ -212,15 +221,8 @@ def _cmd_crosscheck(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    try:
-        ns = [int(v) for v in args.n_grid.split(",") if v]
-    except ValueError:
-        ns = []
-    if not ns or min(ns) < 1:
-        print(f"error: bad --n-grid {args.n_grid!r} (positive ints expected)", file=sys.stderr)
-        return 2
     rows = run_bench(
-        ns,
+        args.n_grid,
         m=args.m,
         algos=args.algos,
         modes=args.modes,
@@ -236,6 +238,11 @@ def _cmd_bench(args) -> int:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        # Run as a program: what the imports built lives until exit, so keep
+        # the garbage collector from walking it again on every collection
+        # that a fit or a search sets off.
+        gc.freeze()
     args = build_parser().parse_args(argv)
     if args.command == "find":
         return _cmd_find(args)

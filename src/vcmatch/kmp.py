@@ -4,15 +4,22 @@ The classical border array generalizes here to a *shift table*: for every
 matched prefix length k and candidate shift j, aligning the first j pattern
 positions under the last j of the matched prefix identifies groups of
 pattern positions that must carry equal text symbols.  The modes differ
-only in the cell rule (``kmp_fvc.ConditionEntry``, ``kmp_pvc.PartnerEntry``),
+only in the cell rule (``kmp_fvc.add_condition``, ``kmp_pvc._join``),
 chosen by the engine's one switch, ``injective``.
 
-Each row of cells is flattened as it is built into bit rows (little-endian
-tuples of chunk_width-bit words) plus per-cell prefix links; the cells are
-not kept.  The failure function is then a handful of word-wise ANDs and a
-highest-set-bit scan.  pvc needs no pairwise-distinct rows: the preceding
-bindings are injective by construction, and live pvc cells never tie two
-window variables together.
+The engine keeps only bit rows (little-endian tuples of chunk_width-bit
+words), and the failure function is a handful of word-wise ANDs and a
+highest-set-bit scan.  Cell (k, j) is cell (k-1, j-1) plus one aligned
+pair, so the fit (:func:`diagonal_rows`) walks every diagonal d = k - j
+once, holding one mutable cell state per live diagonal; only a pair that
+changes a state touches the rows.  A prefix variable's link, which
+rebuilds the succeeding bindings after a shift, is read off the pattern:
+the window code aligned with its first occurrence.  pvc needs no
+pairwise-distinct rows: the preceding bindings are injective by
+construction, and live pvc cells never tie two window variables together.
+
+``ShiftTable`` (the cells, materialised) and ``flatten_rows`` (their bit
+rows) are the inspectable reference the engine's rows are tested against.
 
 The engine memoises the failure function per (prefix length, bindings), the
 lazy-DFA idea of RE2: the cache is flushed whenever it reaches
@@ -22,8 +29,12 @@ lazy-DFA idea of RE2: the cache is flushed whenever it reaches
 from __future__ import annotations
 
 import logging
-from collections import defaultdict
+import struct
+import time
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
+from operator import and_, invert, or_, rshift, xor
 from typing import Iterable, Optional, Sequence
 
 from .core import PatternString, Substitution, TextString
@@ -119,91 +130,209 @@ class BitmapSet:
         return highest_set_bit(self.valid[k], self.chunk_width)
 
 
-def _clear(row: tuple, marks: list[int]) -> tuple:
-    """``row`` with the bits of ``marks`` cleared."""
-    return tuple(w & ~x for w, x in zip(row, marks))
+_WORD_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+def _cutter(chunk_width: int, m: int):
+    """Function cutting a column of masks, one per prefix length k = 1..m,
+    into their tuples of little-endian chunk_width-bit words."""
+    fmt = _WORD_FORMATS.get(chunk_width)
+    if fmt is None:
+        low = (1 << chunk_width) - 1
+        return lambda masks: [
+            tuple((x >> (i * chunk_width)) & low for i in range(-(-k // chunk_width)))
+            for k, x in enumerate(masks, 1)
+        ]
+    layouts = {n: struct.Struct(f"<{n}{fmt}") for n in range(1, -(-m // chunk_width) + 1)}
+    per_row = [layouts[-(-k // chunk_width)] for k in range(1, m + 1)]
+    sizes = [layout.size for layout in per_row]
+    return lambda masks: list(
+        map(struct.Struct.unpack, per_row, map(int.to_bytes, masks, sizes, repeat("little")))
+    )
+
+
+def _transpose(columns: list, m: int) -> list:
+    """Per-k lists from per-position columns over k = 1..m."""
+    return list(map(list, zip(*columns))) if columns else [[] for _ in range(m)]
+
+
+def _assemble(
+    pattern: PatternString, injective: bool, chunk_width: int,
+    alive: list[int], pinned: dict, tied: dict, clashing: dict, shifts: list[int],
+) -> BitmapSet:
+    """The bit rows from mask columns over prefix lengths k = 1..m.
+
+    Shift j of prefix length k is bit j + ``shifts[k - 1]`` of the k-th
+    entry of each column: ``alive`` marks the live cells, ``pinned[v, c]``
+    the cells forcing v to constant c, ``tied[x, y]`` those making y the
+    representative of x, and ``clashing[v, c]`` those whose classes of v
+    and c hold different prefix variables.  Every row family is built one
+    column at a time, so the per-row work runs inside ``map``.
+    """
+    m = len(alive)
+    nv = pattern.table.num_variables
+    sigma = [c.id for c in pattern.constants]
+
+    def shifted(column: list[int]) -> list[int]:
+        return list(map(rshift, column, shifts))
+
+    def clear(rows: list[int], marks: list[int]) -> list[int]:
+        return list(map(and_, rows, map(invert, marks)))
+
+    alive = shifted(alive)
+    pins = {key: shifted(column) for key, column in pinned.items()}
+    unpinned: dict[int, list[int]] = {}  # per pinned variable: live shifts pinning it to no constant
+    for (vid, _), marks in pins.items():
+        unpinned[vid] = clear(unpinned.get(vid, alive), marks)
+    # A variable pinned to one constant only may take that one wherever it is live.
+    pin_count = Counter(vid for vid, _ in pins)
+    values = {
+        key: alive if pin_count[key[0]] == 1 else list(map(or_, marks, unpinned[key[0]]))
+        for key, marks in pins.items()
+    }
+    for key, column in clashing.items():
+        base = values[key] if key in values else unpinned.get(key[0], alive)
+        values[key] = clear(base, shifted(column))
+
+    cut = _cutter(chunk_width, m)
+    valid = cut(alive)
+    free = [valid] * nv
+    for vid, rows in unpinned.items():
+        free[vid] = cut(rows)
+    value_rows = [list(map(dict.fromkeys, repeat(sigma), rows)) for rows in free]
+    for (vid, cid), rows in values.items():
+        for row_dict, row in zip(value_rows[vid], valid if rows is alive else cut(rows)):
+            row_dict[cid] = row
+    distinct = None
+    if not injective:
+        ties = {key: cut(clear(alive, shifted(column))) for key, column in tied.items()}
+        nones = [None] * m
+        distinct = [
+            _transpose([nones if x == y else ties.get((x, y), valid) for y in range(nv)], m)
+            for x in range(nv)
+        ]
+        distinct = [None, *_transpose(distinct, m)]
+    return BitmapSet(
+        chunk_width,
+        [None, *valid],
+        [None, *_transpose(value_rows, m)],
+        [None, *_transpose(free, m)],
+        distinct,
+    )
 
 
 def flatten_rows(
     pattern: PatternString, rows: Iterable[list], injective: bool, chunk_width: int
-) -> tuple[BitmapSet, list]:
-    """Bit rows and per-cell prefix links (a constant id, or ``-1 - window
-    variable``) from the cell rows k = 1..m.
+) -> BitmapSet:
+    """Bit rows read off materialised cell rows k = 1..m.
 
-    Bits are accumulated directly into chunk_width-sized words so each live
-    cell costs O(1) regardless of k; rows are then assembled word-wise.
+    The reference for :func:`diagonal_rows`, which the engine fits with:
+    every live cell is read, and its events set its shift's bit.
     """
     if chunk_width < 1:
         raise ValueError("chunk_width must be positive")
-    nv = pattern.table.num_variables
-    sigma = [c.id for c in pattern.constants]
-    prefix_vars = pattern.variables_by_prefix
-    valid: list = [None]
-    allow_value: list = [None]
-    allow_default: list = [None]
-    allow_distinct: Optional[list] = None if injective else [None]
-    links: list = [None]
-    for k, row in enumerate(rows, 1):
-        nwords = -(-k // chunk_width)
-        zeros = [0] * nwords
-        alive = zeros.copy()
-        # (v, c) -> shifts pinning v to c, tying v to representative c, or
-        # clashing v with c, as word lists.
-        pinned = defaultdict(zeros.copy)
-        tied = defaultdict(zeros.copy)
-        clashing = defaultdict(zeros.copy)
-        row_links: list = [None] * k
+    m = len(pattern)
+    alive = [0] * m
+    pinned, tied, clashing = (defaultdict(lambda: [0] * m) for _ in range(3))
+    for k, row in enumerate(rows):
         for j, cell in enumerate(row):
             if cell is None:
                 continue
-            word, offset = divmod(j, chunk_width)
-            mask = 1 << offset
-            alive[word] |= mask
-            pins, ties, clashes, row_links[j] = cell.read(prefix_vars[j])
+            bit = 1 << j
+            alive[k] |= bit
+            pins, ties, clashes = cell.read()
             for pair in pins:
-                pinned[pair][word] |= mask
+                pinned[pair][k] |= bit
             for pair in ties:
-                tied[pair][word] |= mask
+                tied[pair][k] |= bit
             for pair in clashes:
-                clashing[pair][word] |= mask
-        valid.append(tuple(alive))
-        links.append(row_links)
-        alive_row = valid[k]
-        free = [alive_row] * nv  # per variable: live shifts pinning it to no constant
-        for (vid, _), pins in pinned.items():
-            free[vid] = _clear(free[vid], pins)
-        value_rows = [dict.fromkeys(sigma, unpinned) for unpinned in free]
-        for (vid, cid), pins in pinned.items():
-            value_rows[vid][cid] = tuple(f | p for f, p in zip(free[vid], pins))
-        for (vid, cid), clashes in clashing.items():
-            value_rows[vid][cid] = _clear(value_rows[vid][cid], clashes)
-        allow_value.append(value_rows)
-        allow_default.append(free)
-        if allow_distinct is not None:
-            distinct = [[alive_row] * nv for _ in range(nv)]
-            for x in range(nv):
-                distinct[x][x] = None
-            for (x, y), ties in tied.items():
-                distinct[x][y] = _clear(alive_row, ties)
-            allow_distinct.append(distinct)
-    bitmaps = BitmapSet(chunk_width, valid, allow_value, allow_default, allow_distinct)
-    return bitmaps, links
+                clashing[pair][k] |= bit
+    return _assemble(pattern, injective, chunk_width, alive, pinned, tied, clashing, [0] * m)
 
 
 def build_bitmaps(
     pattern: PatternString, table: ShiftTable, chunk_width: int = MACHINE_WORD
 ) -> BitmapSet:
-    """Bit rows of a materialised table, as the engine builds them."""
-    return flatten_rows(pattern, table.entries[1:], table.injective, chunk_width)[0]
+    """Bit rows of a materialised table; equal to the engine's."""
+    return flatten_rows(pattern, table.entries[1:], table.injective, chunk_width)
+
+
+def _first_positions(codes: Sequence[int]) -> list[int]:
+    """For each position, the first position holding the same code."""
+    first: dict[int, int] = {}
+    return [first.setdefault(code, q) for q, code in enumerate(codes)]
+
+
+def _flip_log(m: int) -> defaultdict:
+    """Per event key, the bits flipped at each prefix length k = 1..m (entry
+    k - 1); the running XOR of a key's flips is its mask at every k."""
+    return defaultdict(lambda: [0] * m)
+
+
+def _columns(log: dict) -> dict[tuple, list[int]]:
+    return {key: list(accumulate(flips, xor)) for key, flips in log.items()}
+
+
+def _bury(dead: list, k: int, m: int, deaths: list[int], logs: tuple, cell) -> None:
+    """Clear the bits of diagonals that died at prefix length k; ``cell``
+    rebuilds a reference cell from a state, to read its events."""
+    for d, *state in dead:
+        bit = 1 << (m - d)
+        deaths[k - 1] ^= bit
+        for log, events in zip(logs, cell(*state).read()):
+            for pair in events:
+                log[pair][k - 1] ^= bit
+
+
+def diagonal_rows(
+    pattern: PatternString, injective: bool, chunk_width: int = MACHINE_WORD
+) -> BitmapSet:
+    """The bit rows of ``pattern``, fitted one diagonal at a time.
+
+    Cell (k, j) is cell (k-1, j-1) plus the pair (P[j-1], P[k-1]), so each
+    diagonal d = k - j keeps one mutable cell state and, in lockstep over
+    k, absorbs its pair in place until it dies.  A pair the state already
+    satisfies costs a lookup or two.  Every event (a pin, tie or clash) has
+    one int mask over diagonals, bit m - d for diagonal d: the walk logs
+    each real change and each death as a flip at its prefix length, the
+    running XOR of an event's flips is its mask at every k, and row k is
+    that mask shifted down by m - k.  Equal to :func:`flatten_rows` of the
+    cell rows.
+    """
+    if chunk_width < 1:
+        raise ValueError("chunk_width must be positive")
+    # The cell rules build on this module, so they are imported on use.
+    if injective:
+        from .kmp_pvc import walk_diagonals
+    else:
+        from .kmp_fvc import walk_diagonals
+    m = len(pattern)
+    deaths, logs = walk_diagonals(pattern.codes, m, pattern.table.num_variables)
+    deaths[0] ^= (1 << m) - 1  # diagonals start live; those past k are shifted out
+    return _assemble(
+        pattern, injective, chunk_width, list(accumulate(deaths, xor)),
+        *map(_columns, logs), list(range(m - 1, -1, -1)),
+    )
+
+
+def _row_counts(bitmaps: BitmapSet) -> tuple[int, int]:
+    """Live cells, and the words of the distinct row objects held."""
+    rows = [*bitmaps.valid[1:], *chain.from_iterable(bitmaps.allow_value_default[1:])]
+    for value_rows in bitmaps.allow_value[1:]:
+        rows += [row for by_const in value_rows for row in by_const.values()]
+    for distinct in (bitmaps.allow_distinct or [None])[1:]:
+        rows += [row for by_var in distinct for row in by_var if row is not None]
+    live = sum(w.bit_count() for row in bitmaps.valid[1:] for w in row)
+    return live, sum({id(row): len(row) for row in rows}.values())
 
 
 class KmpEngine:
-    """Preprocessed pattern: bit rows plus per-cell prefix links.
+    """Preprocessed pattern: bit rows only.
 
-    The bit rows and links are immutable after construction; each text scan
-    keeps its own cursor and bindings, so one instance may serve many texts.
-    The one state that grows during searches is the failure cache, a pure
-    cache: answers never depend on what it holds.
+    The bit rows are immutable after construction; each text scan keeps its
+    own cursor and bindings, so one instance may serve many texts.  The one
+    state that grows during searches is the failure cache, a pure cache:
+    answers never depend on what it holds.
     """
 
     def __init__(
@@ -211,9 +340,24 @@ class KmpEngine:
     ) -> None:
         self.pattern = pattern
         self.injective = injective
-        self.bitmaps, self.links = flatten_rows(
-            pattern, shift_rows(pattern, injective), injective, chunk_width
-        )
+        debug = logger.isEnabledFor(logging.DEBUG)
+        start = time.perf_counter_ns() if debug else 0
+        self.bitmaps = diagonal_rows(pattern, injective, chunk_width)
+        if debug:
+            fit_ns = time.perf_counter_ns() - start
+            live, words = _row_counts(self.bitmaps)
+            logger.debug(
+                "kmp fit: mode=%s m=%d live_cells=%d bit_row_words=%d fit_ns=%d",
+                "pvc" if injective else "fvc", len(pattern), live, words, fit_ns,
+            )
+        # Per shift j, each prefix variable with its first position: after
+        # shift j of prefix length k it takes the window code at
+        # k - j + that position.
+        first = _first_positions(pattern.codes)
+        firsts = [
+            (-1 - code, q) for q, code in enumerate(pattern.codes) if code < 0 and first[q] == q
+        ]
+        self._link_sources = [tuple(firsts[: len(vids)]) for vids in pattern.variables_by_prefix]
         # (k, *binding values in variables_by_prefix[k] order) -> (j, succeeding)
         self._failure_cache: dict[tuple, tuple[int, dict[int, int]]] = {}
 
@@ -264,13 +408,12 @@ class KmpEngine:
                     if x != y and cx != cy:
                         and_words(words, row_x[y])
         j = highest_set_bit(words, bitmaps.chunk_width)
-        links = self.links[k][j]
+        codes = self.pattern.codes
+        base = k - j
         succeeding: dict[int, int] = {}
-        i = 0  # a counter costs less than zip or enumerate on these short tuples
-        for vid in self.pattern.variables_by_prefix[j]:
-            code = links[i]
+        for vid, q in self._link_sources[j]:
+            code = codes[base + q]
             succeeding[vid] = code if code >= 0 else forward[-1 - code]
-            i += 1
         if len(cache) >= FAILURE_CACHE_CAP:
             logger.debug("kmp failure cache flushed at %d entries", len(cache))
             cache.clear()

@@ -3,16 +3,17 @@
 Each (k, j) cell summarizes its alignment classes with a representative map
 over merge classes (constants win; otherwise the variable registered
 first).  A cell is dead when it forces two distinct constants to be equal.
-The scan, failure function and bit rows live in :mod:`vcmatch.kmp`.
+The engine's fit keeps one such cell per diagonal (:func:`walk_diagonals`);
+the scan, failure function and bit rows live in :mod:`vcmatch.kmp`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .core import PatternString, TextString
-from .kmp import MACHINE_WORD, KmpEngine, ShiftTable
+from .kmp import MACHINE_WORD, KmpEngine, ShiftTable, _bury, _first_positions, _flip_log
 from .kmp import BitmapSet, build_bitmaps  # noqa: F401  (re-exported)
 from .naive import MatchReport
 
@@ -59,8 +60,8 @@ class ConditionEntry:
             return None
         return ConditionEntry(tuple(reps), self.prefix_links, tuple(map(tuple, members)))
 
-    def read(self, prefix_vars: tuple[int, ...]):
-        """Pins (v, constant), ties (v, representative), clashes, links."""
+    def read(self):
+        """Pins (v, constant), ties (v, representative), clashes."""
         pins = []
         ties = []
         for vid, rep in enumerate(self.reps):
@@ -68,8 +69,7 @@ class ConditionEntry:
                 pins.append((vid, rep))
             elif rep != -1 - vid:
                 ties.append((vid, -1 - rep))
-        links = self.prefix_links
-        return pins, ties, (), tuple(links[vid] for vid in prefix_vars)
+        return pins, ties, ()
 
 
 def add_condition(reps: list[int], members: list[list[int]], a: int, b: int) -> bool:
@@ -102,6 +102,62 @@ def add_condition(reps: list[int], members: list[list[int]], a: int, b: int) -> 
         members[-1 - winner].extend(members[loser_id])
     members[loser_id] = []
     return True
+
+
+def walk_diagonals(codes: Sequence[int], m: int, nv: int) -> tuple:
+    """Walk every fvc diagonal d in lockstep over k, adding the pair
+    (P[k-d-1], P[k-1]) to its cell; return the deaths and the (pin, tie,
+    clash) flip logs that :func:`vcmatch.kmp.diagonal_rows` cuts rows from.
+
+    A state is (d, reps, members) as ``add_condition`` keeps them.  Links
+    are not stored: a prefix variable first seen at position q links to
+    window code P[d + q].  Only a merge flips event bits: each variable of
+    the losing class drops its tie to the loser and takes a pin or a tie to
+    the winner.
+    """
+    first = _first_positions(codes)
+    start_reps = [-1 - vid for vid in range(nv)]
+    singletons = [(vid,) for vid in range(nv)]
+    deaths = [0] * m
+    logs = pinned, tied, clashing = _flip_log(m), _flip_log(m), _flip_log(m)
+    live: list = []
+    for k in range(1, m + 1):
+        w = codes[k - 1]
+        dead = []
+        for state in live:
+            d, reps, members = state
+            q = k - 1 - d
+            p = codes[q]
+            if p < 0:
+                f = first[q]
+                if f == q:
+                    continue  # first sight: only links the prefix variable
+                p = codes[d + f]  # through its link
+            ra = p if p >= 0 else reps[-1 - p]
+            rb = w if w >= 0 else reps[-1 - w]
+            if ra == rb:
+                continue
+            class_a = members[-1 - ra] if ra < 0 else ()
+            class_b = members[-1 - rb] if rb < 0 else ()
+            if not add_condition(reps, members, p, w):
+                dead.append(state)
+                continue
+            winner = reps[class_a[0]] if class_a else ra
+            loser, moved = (rb, class_b) if winner == ra else (ra, class_a)
+            loser_id = -1 - loser
+            bit = 1 << (m - d)
+            for vid in moved:
+                if vid != loser_id:
+                    tied[vid, loser_id][k - 1] ^= bit
+                if winner >= 0:
+                    pinned[vid, winner][k - 1] ^= bit
+                else:
+                    tied[vid, -1 - winner][k - 1] ^= bit
+        if dead:
+            _bury(dead, k, m, deaths, logs, lambda reps, _: ConditionEntry(tuple(reps), {}, ()))
+            live = [state for state in live if state not in dead]
+        live.append((k, start_reps.copy(), list(map(list, singletons))))
+    return deaths, logs
 
 
 def build_table(pattern: PatternString) -> ShiftTable:

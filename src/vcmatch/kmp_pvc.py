@@ -9,16 +9,17 @@ rules out binding variable v to constant c when v's class carries a prefix
 variable and c's class a *different* one (a clash): the shift would assign
 c to two prefix variables, which an injective succeeding binding cannot do.
 
-The scan, failure function and bit rows live in :mod:`vcmatch.kmp`.
+The engine's fit keeps one such cell per diagonal (:func:`walk_diagonals`);
+the scan, failure function and bit rows live in :mod:`vcmatch.kmp`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from .core import PatternString, TextString
-from .kmp import MACHINE_WORD, KmpEngine, ShiftTable
+from .kmp import MACHINE_WORD, KmpEngine, ShiftTable, _bury, _flip_log
 from .kmp import BitmapSet as TBitmapSet  # noqa: F401  (re-exported)
 from .kmp import build_bitmaps as build_t_bitmaps  # noqa: F401  (re-exported)
 from .naive import MatchReport
@@ -60,20 +61,15 @@ class PartnerEntry:
                        e.var_prefix, e.var_const, -1 - prefix_code, window_code)
         return e if ok else None
 
-    def read(self, prefix_vars: tuple[int, ...]):
-        """Pins (v, constant), ties, clashes (v, constant), links."""
+    def read(self):
+        """Pins (v, constant), ties, clashes (v, constant)."""
         clashes = [
             (vid, cid)
             for cid, cp in self.const_prefix.items()
             for vid, vp in self.var_prefix.items()
             if vp != cp
         ]
-        const_of = self.prefix_const
-        links = [
-            const_of[pid] if pid in const_of else -1 - self.prefix_var[pid]
-            for pid in prefix_vars
-        ]
-        return self.var_const.items(), (), clashes, tuple(links)
+        return self.var_const.items(), (), clashes
 
     def copy(self) -> "PartnerEntry":
         return PartnerEntry(
@@ -128,6 +124,69 @@ def _join(ab: dict, ba: dict, at: dict, bt: dict, ta: dict, tb: dict, a: int, b:
         at[a] = b_t
         ta[b_t] = a
     return True
+
+
+def walk_diagonals(codes: Sequence[int], m: int, nv: int) -> tuple:
+    """Walk every pvc diagonal d in lockstep over k, adding the pair
+    (P[k-d-1], P[k-1]) to its cell; return the deaths and the (pin, tie,
+    clash) flip logs that :func:`vcmatch.kmp.diagonal_rows` cuts rows from.
+
+    A state is (d, *partner maps) in the order of ``PartnerEntry``'s
+    fields.  ``_join`` adds at most one partner to each map and never
+    replaces one, so a map that grew holds its new partner last; only those
+    partners bring new pins and clashes.
+    """
+    deaths = [0] * m
+    logs = pinned, _, clashing = _flip_log(m), _flip_log(m), _flip_log(m)
+    live: list = []
+    for k in range(1, m + 1):
+        w = codes[k - 1]
+        wv = -1 - w
+        dead = []
+        for state in live:
+            d, vc, cv, vp, pv, cp, pc = state
+            p = codes[k - 1 - d]
+            if p >= 0:
+                if w >= 0:
+                    if p != w:
+                        dead.append(state)
+                    continue
+                partner = vc.get(wv)
+                if partner == p:
+                    continue
+                join = (vc, cv, vp, cp, pv, pc, wv, p)
+            elif w < 0:
+                partner = vp.get(wv)
+                if partner == -1 - p:
+                    continue
+                join = (vp, pv, vc, pc, cv, cp, wv, -1 - p)
+            else:
+                partner = pc.get(-1 - p)
+                if partner == w:
+                    continue
+                join = (pc, cp, pv, cv, vp, vc, -1 - p, w)
+            seen_vc, seen_vp, seen_cp = len(vc), len(vp), len(cp)
+            if partner is not None or not _join(*join):
+                dead.append(state)
+                continue
+            bit = 1 << (m - d)
+            if len(vc) > seen_vc:  # a pin
+                pinned[next(reversed(vc.items()))][k - 1] ^= bit
+            if len(vp) > seen_vp:  # a window variable met a prefix variable
+                vid, prefix = next(reversed(vp.items()))
+                for cid, other in cp.items():
+                    if other != prefix:
+                        clashing[vid, cid][k - 1] ^= bit
+            if len(cp) > seen_cp:  # a constant met a prefix variable
+                cid, prefix = next(reversed(cp.items()))
+                for vid, other in vp.items():
+                    if other != prefix:
+                        clashing[vid, cid][k - 1] ^= bit
+        if dead:
+            _bury(dead, k, m, deaths, logs, PartnerEntry)
+            live = [state for state in live if state not in dead]
+        live.append((k, {}, {}, {}, {}, {}, {}))
+    return deaths, logs
 
 
 def build_injective_table(pattern: PatternString) -> ShiftTable:

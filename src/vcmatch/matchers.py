@@ -11,7 +11,6 @@ from __future__ import annotations
 import inspect
 from typing import Union
 
-from .convolution import conv_match_all
 from .core import TextString, encode_pattern, encode_text, is_injective_mode
 from .kmp import KmpEngine
 from .naive import MatchReport, naive_all, window_match
@@ -114,10 +113,20 @@ class NaiveMatcher(BaseMatcher):
 
 
 class ConvolutionMatcher(BaseMatcher):
-    """Cross-correlation backend."""
+    """Cross-correlation backend.
+
+    numpy is imported with the first instance, so a process that never
+    builds one never loads it, and no fit or search pays for the import.
+    """
+
+    def __init__(self, mode: str = "fvc", variables=None):
+        super().__init__(mode, variables)
+        from .convolution import conv_match_all
+
+        self._conv_match_all = conv_match_all
 
     def _search(self, text: TextString) -> MatchReport:
-        return conv_match_all(self.pattern_, text, mode=self.mode)
+        return self._conv_match_all(self.pattern_, text, mode=self.mode)
 
 
 class KmpMatcher(BaseMatcher):

@@ -9,6 +9,16 @@ import pytest
 import vcmatch
 from vcmatch.cli import main
 
+NUMPY_AFTER_FIND = """
+import sys
+import vcmatch, vcmatch.cli
+from vcmatch import find_all
+argv = ["find", "--pattern", "aAB", "--text-inline", "abcab", "--algo", "{algo}"]
+assert vcmatch.cli.main(argv) == 0
+find_all("aAB", "abcab", algo="{algo}", mode="pvc")
+print("numpy" in sys.modules)
+"""
+
 GENERATE_CASES = """
 import random
 from vcmatch.crosscheck import generate_case
@@ -173,6 +183,23 @@ def test_bench_rejects_nonpositive_sizes_and_repeats(argv, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("algo", ["naive", "kmp"])
+def test_naive_and_kmp_never_import_numpy(algo):
+    src = str(Path(vcmatch.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", NUMPY_AFTER_FIND.format(algo=algo)], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_conv_names_still_exported():
+    from vcmatch import OverflowRiskError, conv_match_all, correlate  # noqa: F401
+
+    assert list(vcmatch.correlate([1, 2], [1])) == [1, 2]
+    with pytest.raises(AttributeError):
+        vcmatch.no_such_name
+
+
 class TestCrosscheck:
     def test_cases_independent_of_hash_seed(self):
         src = str(Path(vcmatch.__file__).resolve().parents[1])
@@ -233,7 +260,10 @@ class TestBench:
             assert int(fields[6]) > 0 and int(fields[7]) > 0
 
     def test_bad_grid_exit_2(self, capsys):
-        assert main(["bench", "--n-grid", "abc"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--n-grid", "abc"])
+        assert exc.value.code == 2
+        assert "error: argument" in capsys.readouterr().err
 
     def test_kmp_strictly_faster_than_naive_on_degenerate_text(self):
         # On uniformly random text the brute-force scan exits each window

@@ -4,7 +4,7 @@ The classical border array generalizes here to a *shift table*: for every
 matched prefix length k and candidate shift j, aligning the first j pattern
 positions under the last j of the matched prefix identifies groups of
 pattern positions that must carry equal text symbols.  The modes differ
-only in the cell rule (``kmp_fvc.add_condition``, ``kmp_pvc._join``),
+only in the cell rule (``kmp_fvc.add_condition``, ``kmp_pvc._absorb``),
 chosen by the engine's one switch, ``injective``.
 
 The engine keeps only bit rows (little-endian tuples of chunk_width-bit
@@ -115,7 +115,10 @@ class BitmapSet:
     * ``allow_distinct[k][x][y]`` (fvc; None for pvc): bit j cleared iff
       shift j makes y the representative of x, i.e. forces equal bindings.
       Queried in both orders, which makes the conjunction independent of
-      representative choice.
+      representative choice; ``[k][x][x]`` is the live row.
+
+    Rows are tuples, and equal row families may share them: they are read
+    only.
     """
 
     chunk_width: int
@@ -143,17 +146,34 @@ def _cutter(chunk_width: int, m: int):
             tuple((x >> (i * chunk_width)) & low for i in range(-(-k // chunk_width)))
             for k, x in enumerate(masks, 1)
         ]
-    layouts = {n: struct.Struct(f"<{n}{fmt}") for n in range(1, -(-m // chunk_width) + 1)}
-    per_row = [layouts[-(-k // chunk_width)] for k in range(1, m + 1)]
+    # Rows k <= chunk_width are one word; longer ones go through struct.
+    layouts = [struct.Struct(f"<{n}{fmt}") for n in range(2, -(-m // chunk_width) + 1)]
+    per_row = list(chain.from_iterable(map(repeat, layouts, repeat(chunk_width))))
     sizes = [layout.size for layout in per_row]
-    return lambda masks: list(
-        map(struct.Struct.unpack, per_row, map(int.to_bytes, masks, sizes, repeat("little")))
-    )
+    return lambda masks: [
+        *zip(masks[:chunk_width]),
+        *map(struct.Struct.unpack, per_row,
+             map(int.to_bytes, masks[chunk_width:], sizes, repeat("little"))),
+    ]
 
 
 def _transpose(columns: list, m: int) -> list:
-    """Per-k lists from per-position columns over k = 1..m."""
-    return list(map(list, zip(*columns))) if columns else [[] for _ in range(m)]
+    """Per-k tuples from per-position columns over k = 1..m."""
+    return list(zip(*columns)) if columns else [()] * m
+
+
+def _shared_rows(columns_by_var: list[list], build) -> list:
+    """``build(columns)`` for each variable's list of columns, once per
+    distinct list: variables whose columns are the same objects share
+    their per-k rows, which are read only."""
+    built: dict[tuple, list] = {}
+    out = []
+    for columns in columns_by_var:
+        key = tuple(map(id, columns))
+        if key not in built:
+            built[key] = build(columns)
+        out.append(built[key])
+    return out
 
 
 def _assemble(
@@ -179,16 +199,18 @@ def _assemble(
     def clear(rows: list[int], marks: list[int]) -> list[int]:
         return list(map(and_, rows, map(invert, marks)))
 
+    # Per pinned variable, the live shifts pinning it to no constant: pins
+    # are live shifts, and one shift pins a variable at most once.
+    unpinned: dict[int, list[int]] = {}
+    for (vid, _), marks in pinned.items():
+        unpinned[vid] = list(map(xor, unpinned.get(vid, alive), marks))
+    unpinned = {vid: shifted(column) for vid, column in unpinned.items()}
     alive = shifted(alive)
-    pins = {key: shifted(column) for key, column in pinned.items()}
-    unpinned: dict[int, list[int]] = {}  # per pinned variable: live shifts pinning it to no constant
-    for (vid, _), marks in pins.items():
-        unpinned[vid] = clear(unpinned.get(vid, alive), marks)
     # A variable pinned to one constant only may take that one wherever it is live.
-    pin_count = Counter(vid for vid, _ in pins)
+    pin_count = Counter(vid for vid, _ in pinned)
     values = {
-        key: alive if pin_count[key[0]] == 1 else list(map(or_, marks, unpinned[key[0]]))
-        for key, marks in pins.items()
+        key: alive if pin_count[key[0]] == 1 else list(map(or_, shifted(marks), unpinned[key[0]]))
+        for key, marks in pinned.items()
     }
     for key, column in clashing.items():
         base = values[key] if key in values else unpinned.get(key[0], alive)
@@ -199,19 +221,23 @@ def _assemble(
     free = [valid] * nv
     for vid, rows in unpinned.items():
         free[vid] = cut(rows)
-    value_rows = [list(map(dict.fromkeys, repeat(sigma), rows)) for rows in free]
+    # Per variable, one row column per constant; each k's dict zips them.
+    columns = [[rows] * len(sigma) for rows in free]
+    position = {cid: i for i, cid in enumerate(sigma)}
     for (vid, cid), rows in values.items():
-        for row_dict, row in zip(value_rows[vid], valid if rows is alive else cut(rows)):
-            row_dict[cid] = row
+        columns[vid][position[cid]] = valid if rows is alive else cut(rows)
+
+    def dicts(by_const: list) -> list:
+        if len(set(map(id, by_const))) == 1:  # one row for every constant
+            return list(map(dict.fromkeys, repeat(sigma), by_const[0]))
+        return list(map(dict, map(zip, repeat(sigma), _transpose(by_const, m))))
+
+    value_rows = _shared_rows(columns, dicts)
     distinct = None
     if not injective:
         ties = {key: cut(clear(alive, shifted(column))) for key, column in tied.items()}
-        nones = [None] * m
-        distinct = [
-            _transpose([nones if x == y else ties.get((x, y), valid) for y in range(nv)], m)
-            for x in range(nv)
-        ]
-        distinct = [None, *_transpose(distinct, m)]
+        by_other = [[ties.get((x, y), valid) for y in range(nv)] for x in range(nv)]
+        distinct = [None, *_transpose(_shared_rows(by_other, lambda c: _transpose(c, m)), m)]
     return BitmapSet(
         chunk_width,
         [None, *valid],
@@ -321,7 +347,7 @@ def _row_counts(bitmaps: BitmapSet) -> tuple[int, int]:
     for value_rows in bitmaps.allow_value[1:]:
         rows += [row for by_const in value_rows for row in by_const.values()]
     for distinct in (bitmaps.allow_distinct or [None])[1:]:
-        rows += [row for by_var in distinct for row in by_var if row is not None]
+        rows += [row for by_var in distinct for row in by_var]
     live = sum(w.bit_count() for row in bitmaps.valid[1:] for w in row)
     return live, sum({id(row): len(row) for row in rows}.values())
 

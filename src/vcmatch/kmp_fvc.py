@@ -55,10 +55,10 @@ class ConditionEntry:
         if prefix_code == window_code:
             return self
         reps = list(self.reps)
-        members = [list(t) for t in self.members]
-        if not add_condition(reps, members, prefix_code, window_code):
+        members = list(self.members)
+        if add_condition(reps, members, prefix_code, window_code) is None:
             return None
-        return ConditionEntry(tuple(reps), self.prefix_links, tuple(map(tuple, members)))
+        return ConditionEntry(tuple(reps), self.prefix_links, tuple(members))
 
     def read(self):
         """Pins (v, constant), ties (v, representative), clashes."""
@@ -72,23 +72,31 @@ class ConditionEntry:
         return pins, ties, ()
 
 
-def add_condition(reps: list[int], members: list[list[int]], a: int, b: int) -> bool:
-    """Merge the classes of symbol codes ``a`` and ``b``; False if that would
-    identify two distinct constants.
+def add_condition(
+    reps: list[int], members: list[Sequence[int]], a: int, b: int
+) -> Optional[tuple[int, Sequence[int]]]:
+    """Merge the classes of symbol codes ``a`` and ``b``.
+
+    Return the merged class's representative and the variables relabelled
+    to it (the old representative first; empty if ``a`` and ``b`` already
+    shared a class), or None if the merge would identify two distinct
+    constants.
 
     Representatives follow two rules kept invariant everywhere: a class
     containing a constant is represented by that constant, otherwise by its
     variable with the smallest id.  All member variables are relabelled on
-    each merge, so lookups stay one step deep.
+    each merge, so lookups stay one step deep.  ``members[v]`` lists the
+    variables represented by v; a merge replaces the sequences it changes
+    and never mutates one, so states may share them.
     """
     ra = reps[-1 - a] if a < 0 else a
     rb = reps[-1 - b] if b < 0 else b
     if ra == rb:
-        return True
+        return ra, ()
     a_const = ra >= 0
     b_const = rb >= 0
     if a_const and b_const:
-        return False
+        return None
     if a_const:
         winner, loser = ra, rb
     elif b_const:
@@ -96,12 +104,13 @@ def add_condition(reps: list[int], members: list[list[int]], a: int, b: int) -> 
     else:
         winner, loser = (ra, rb) if ra > rb else (rb, ra)  # larger code = smaller id
     loser_id = -1 - loser
-    for vid in members[loser_id]:
+    moved = members[loser_id]
+    for vid in moved:
         reps[vid] = winner
     if winner < 0:
-        members[-1 - winner].extend(members[loser_id])
-    members[loser_id] = []
-    return True
+        members[-1 - winner] = (*members[-1 - winner], *moved)
+    members[loser_id] = ()
+    return winner, moved
 
 
 def walk_diagonals(codes: Sequence[int], m: int, nv: int) -> tuple:
@@ -113,7 +122,7 @@ def walk_diagonals(codes: Sequence[int], m: int, nv: int) -> tuple:
     are not stored: a prefix variable first seen at position q links to
     window code P[d + q].  Only a merge flips event bits: each variable of
     the losing class drops its tie to the loser and takes a pin or a tie to
-    the winner.
+    the winner, as ``add_condition`` reports them.
     """
     first = _first_positions(codes)
     start_reps = [-1 - vid for vid in range(nv)]
@@ -137,14 +146,12 @@ def walk_diagonals(codes: Sequence[int], m: int, nv: int) -> tuple:
             rb = w if w >= 0 else reps[-1 - w]
             if ra == rb:
                 continue
-            class_a = members[-1 - ra] if ra < 0 else ()
-            class_b = members[-1 - rb] if rb < 0 else ()
-            if not add_condition(reps, members, p, w):
+            merged = add_condition(reps, members, p, w)
+            if merged is None:
                 dead.append(state)
                 continue
-            winner = reps[class_a[0]] if class_a else ra
-            loser, moved = (rb, class_b) if winner == ra else (ra, class_a)
-            loser_id = -1 - loser
+            winner, moved = merged
+            loser_id = moved[0]
             bit = 1 << (m - d)
             for vid in moved:
                 if vid != loser_id:
@@ -156,7 +163,7 @@ def walk_diagonals(codes: Sequence[int], m: int, nv: int) -> tuple:
         if dead:
             _bury(dead, k, m, deaths, logs, lambda reps, _: ConditionEntry(tuple(reps), {}, ()))
             live = [state for state in live if state not in dead]
-        live.append((k, start_reps.copy(), list(map(list, singletons))))
+        live.append((k, start_reps.copy(), singletons.copy()))
     return deaths, logs
 
 

@@ -50,15 +50,8 @@ class PartnerEntry:
         if prefix_code >= 0 and window_code >= 0:
             return self if prefix_code == window_code else None
         e = self.copy()
-        if prefix_code >= 0:
-            ok = _join(e.var_const, e.const_var, e.var_prefix, e.const_prefix,
-                       e.prefix_var, e.prefix_const, -1 - window_code, prefix_code)
-        elif window_code < 0:
-            ok = _join(e.var_prefix, e.prefix_var, e.var_const, e.prefix_const,
-                       e.const_var, e.const_prefix, -1 - window_code, -1 - prefix_code)
-        else:
-            ok = _join(e.prefix_const, e.const_prefix, e.prefix_var, e.const_var,
-                       e.var_prefix, e.var_const, -1 - prefix_code, window_code)
+        ok = _absorb(e.var_const, e.const_var, e.var_prefix, e.prefix_var,
+                     e.const_prefix, e.prefix_const, prefix_code, window_code)
         return e if ok else None
 
     def read(self):
@@ -98,14 +91,25 @@ class PartnerEntry:
         return {(other, links[ident]) for links, other in partners[kind] if ident in links}
 
 
-def _join(ab: dict, ba: dict, at: dict, bt: dict, ta: dict, tb: dict, a: int, b: int) -> bool:
-    """Put node ``b`` into node ``a``'s class; False if the class would then
-    hold two nodes of one kind.
+def _absorb(vc: dict, cv: dict, vp: dict, pv: dict, cp: dict, pc: dict, p: int, w: int) -> bool:
+    """Add the aligned pair (prefix code ``p``, window code ``w``) to the
+    partner maps, given in the order of ``PartnerEntry``'s fields, in
+    place; False if the cell dies.
 
-    a, b and a third node kind t are distinct kinds; ``ab`` maps each node
-    of a's kind to its partner of b's kind and ``ba`` back, likewise
-    ``at``/``ta`` and ``bt``/``tb``.
+    The pair puts node b into node a's class, a and b and a third node t
+    being of distinct kinds; ``ab`` maps each node of a's kind to its
+    partner of b's kind and ``ba`` back, likewise ``at``/``ta`` and
+    ``bt``/``tb``.  The cell dies if the class would then hold two nodes
+    of one kind.
     """
+    if p >= 0:
+        if w >= 0:
+            return p == w
+        ab, ba, at, bt, ta, tb, a, b = vc, cv, vp, cp, pv, pc, -1 - w, p
+    elif w < 0:
+        ab, ba, at, bt, ta, tb, a, b = vp, pv, vc, pc, cv, cp, -1 - w, -1 - p
+    else:
+        ab, ba, at, bt, ta, tb, a, b = pc, cp, pv, cv, vp, vc, -1 - p, w
     current = ab.get(a)
     if current is not None:
         return current == b
@@ -131,42 +135,27 @@ def walk_diagonals(codes: Sequence[int], m: int, nv: int) -> tuple:
     (P[k-d-1], P[k-1]) to its cell; return the deaths and the (pin, tie,
     clash) flip logs that :func:`vcmatch.kmp.diagonal_rows` cuts rows from.
 
-    A state is (d, *partner maps) in the order of ``PartnerEntry``'s
-    fields.  ``_join`` adds at most one partner to each map and never
-    replaces one, so a map that grew holds its new partner last; only those
-    partners bring new pins and clashes.
+    A state is (d, held, *partner maps) in the order of ``PartnerEntry``'s
+    fields, ``held`` being the pairs the cell has absorbed: classes only
+    grow, so a held pair is skipped, and a class of at most three nodes
+    holds only a few pairs.  ``_absorb`` adds at most one partner
+    to each map and never replaces one, so a map that grew holds its new
+    partner last; only those partners bring new pins and clashes.
     """
     deaths = [0] * m
     logs = pinned, _, clashing = _flip_log(m), _flip_log(m), _flip_log(m)
     live: list = []
     for k in range(1, m + 1):
         w = codes[k - 1]
-        wv = -1 - w
         dead = []
         for state in live:
-            d, vc, cv, vp, pv, cp, pc = state
-            p = codes[k - 1 - d]
-            if p >= 0:
-                if w >= 0:
-                    if p != w:
-                        dead.append(state)
-                    continue
-                partner = vc.get(wv)
-                if partner == p:
-                    continue
-                join = (vc, cv, vp, cp, pv, pc, wv, p)
-            elif w < 0:
-                partner = vp.get(wv)
-                if partner == -1 - p:
-                    continue
-                join = (vp, pv, vc, pc, cv, cp, wv, -1 - p)
-            else:
-                partner = pc.get(-1 - p)
-                if partner == w:
-                    continue
-                join = (pc, cp, pv, cv, vp, vc, -1 - p, w)
+            d, held, vc, cv, vp, pv, cp, pc = state
+            pair = codes[k - 1 - d], w
+            if pair in held:
+                continue
+            held.add(pair)
             seen_vc, seen_vp, seen_cp = len(vc), len(vp), len(cp)
-            if partner is not None or not _join(*join):
+            if not _absorb(vc, cv, vp, pv, cp, pc, *pair):
                 dead.append(state)
                 continue
             bit = 1 << (m - d)
@@ -183,9 +172,9 @@ def walk_diagonals(codes: Sequence[int], m: int, nv: int) -> tuple:
                     if other != prefix:
                         clashing[vid, cid][k - 1] ^= bit
         if dead:
-            _bury(dead, k, m, deaths, logs, PartnerEntry)
+            _bury(dead, k, m, deaths, logs, lambda _, *maps: PartnerEntry(*maps))
             live = [state for state in live if state not in dead]
-        live.append((k, {}, {}, {}, {}, {}, {}))
+        live.append((k, set(), {}, {}, {}, {}, {}, {}))
     return deaths, logs
 
 

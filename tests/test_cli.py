@@ -192,6 +192,19 @@ def test_naive_and_kmp_never_import_numpy(algo):
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+def test_program_entry_point_finds():
+    # main() with no argv (the program path) freezes the import-time objects
+    # before it parses sys.argv; every other test passes argv.
+    src = str(Path(vcmatch.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "vcmatch.cli", "find", "--pattern", "ABAb",
+         "--text-inline", "ababbbb", "--mode", "fvc", "--algo", "all"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout == "1\n2\n4\n"
+
+
 def test_conv_names_still_exported():
     from vcmatch import OverflowRiskError, conv_match_all, correlate  # noqa: F401
 

@@ -114,7 +114,8 @@ def test_worst_case_fit_keeps_only_bit_rows():
 
 
 @pytest.mark.parametrize("injective", [False, True])
-@pytest.mark.parametrize("chunk_width", [8, 16, 64])
+# 7 has no struct word format, so its rows are cut word by word.
+@pytest.mark.parametrize("chunk_width", [7, 8, 16, 64])
 def test_streamed_fit_equals_materialised_table(injective, chunk_width):
     rng = random.Random(60 + chunk_width + injective)
     patterns = [random_pattern_text(rng, max_m=12, num_variables=4)[0] for _ in range(40)]

@@ -31,7 +31,7 @@ from __future__ import annotations
 import logging
 import struct
 import time
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from operator import and_, invert, or_, rshift, xor
@@ -162,20 +162,6 @@ def _transpose(columns: list, m: int) -> list:
     return list(zip(*columns)) if columns else [()] * m
 
 
-def _shared_rows(columns_by_var: list[list], build) -> list:
-    """``build(columns)`` for each variable's list of columns, once per
-    distinct list: variables whose columns are the same objects share
-    their per-k rows, which are read only."""
-    built: dict[tuple, list] = {}
-    out = []
-    for columns in columns_by_var:
-        key = tuple(map(id, columns))
-        if key not in built:
-            built[key] = build(columns)
-        out.append(built[key])
-    return out
-
-
 def _assemble(
     pattern: PatternString, injective: bool, chunk_width: int,
     alive: list[int], pinned: dict, tied: dict, clashing: dict, shifts: list[int],
@@ -202,12 +188,13 @@ def _assemble(
     # Per pinned variable, the live shifts pinning it to no constant: pins
     # are live shifts, and one shift pins a variable at most once.
     unpinned: dict[int, list[int]] = {}
+    pin_count: dict[int, int] = {}
     for (vid, _), marks in pinned.items():
         unpinned[vid] = list(map(xor, unpinned.get(vid, alive), marks))
+        pin_count[vid] = pin_count.get(vid, 0) + 1
     unpinned = {vid: shifted(column) for vid, column in unpinned.items()}
     alive = shifted(alive)
     # A variable pinned to one constant only may take that one wherever it is live.
-    pin_count = Counter(vid for vid, _ in pinned)
     values = {
         key: alive if pin_count[key[0]] == 1 else list(map(or_, shifted(marks), unpinned[key[0]]))
         for key, marks in pinned.items()
@@ -221,23 +208,31 @@ def _assemble(
     free = [valid] * nv
     for vid, rows in unpinned.items():
         free[vid] = cut(rows)
-    # Per variable, one row column per constant; each k's dict zips them.
+    # Per variable, one row column per constant; each k's dict zips them,
+    # and variables with the same columns share their dicts (read only).
     columns = [[rows] * len(sigma) for rows in free]
     position = {cid: i for i, cid in enumerate(sigma)}
     for (vid, cid), rows in values.items():
         columns[vid][position[cid]] = valid if rows is alive else cut(rows)
-
-    def dicts(by_const: list) -> list:
-        if len(set(map(id, by_const))) == 1:  # one row for every constant
-            return list(map(dict.fromkeys, repeat(sigma), by_const[0]))
-        return list(map(dict, map(zip, repeat(sigma), _transpose(by_const, m))))
-
-    value_rows = _shared_rows(columns, dicts)
+    built: dict[tuple, list] = {}
+    value_rows = []
+    for by_const in columns:
+        key = tuple(map(id, by_const))
+        if key not in built:
+            built[key] = (
+                list(map(dict.fromkeys, repeat(sigma), by_const[0])) if len(set(key)) == 1
+                else list(map(dict, map(zip, repeat(sigma), _transpose(by_const, m))))
+            )
+        value_rows.append(built[key])
     distinct = None
     if not injective:
         ties = {key: cut(clear(alive, shifted(column))) for key, column in tied.items()}
-        by_other = [[ties.get((x, y), valid) for y in range(nv)] for x in range(nv)]
-        distinct = [None, *_transpose(_shared_rows(by_other, lambda c: _transpose(c, m)), m)]
+        untied = [(row,) * nv for row in valid]  # shared by every x without ties
+        tied_x = {x for x, _ in ties}
+        distinct = [None, *_transpose([
+            _transpose([ties.get((x, y), valid) for y in range(nv)], m) if x in tied_x else untied
+            for x in range(nv)
+        ], m)]
     return BitmapSet(
         chunk_width,
         [None, *valid],

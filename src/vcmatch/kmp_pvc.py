@@ -144,18 +144,22 @@ def walk_diagonals(codes: Sequence[int], m: int, nv: int) -> tuple:
     """
     deaths = [0] * m
     logs = pinned, _, clashing = _flip_log(m), _flip_log(m), _flip_log(m)
+    # Pair (P[q], w) is held as keys[q] + w: codes lie in -nv .. span - nv - 1.
+    span = max(codes, default=0) + 1 + nv
+    keys = [(code + nv) * span + nv for code in codes]
     live: list = []
     for k in range(1, m + 1):
         w = codes[k - 1]
         dead = []
         for state in live:
             d, held, vc, cv, vp, pv, cp, pc = state
-            pair = codes[k - 1 - d], w
+            q = k - 1 - d
+            pair = keys[q] + w
             if pair in held:
                 continue
             held.add(pair)
             seen_vc, seen_vp, seen_cp = len(vc), len(vp), len(cp)
-            if not _absorb(vc, cv, vp, pv, cp, pc, *pair):
+            if not _absorb(vc, cv, vp, pv, cp, pc, codes[q], w):
                 dead.append(state)
                 continue
             bit = 1 << (m - d)

@@ -9,6 +9,7 @@ stored verbatim by ``__init__``, ``fit`` compiles the pattern and returns
 from __future__ import annotations
 
 import inspect
+from functools import cache
 from typing import Union
 
 from .core import TextString, encode_pattern, encode_text, is_injective_mode
@@ -112,6 +113,14 @@ class NaiveMatcher(BaseMatcher):
         return naive_all(self.pattern_, text, mode=self.mode)
 
 
+@cache
+def _conv_match_all():
+    """``conv_match_all``, imported (with numpy) on the first call only."""
+    from .convolution import conv_match_all
+
+    return conv_match_all
+
+
 class ConvolutionMatcher(BaseMatcher):
     """Cross-correlation backend.
 
@@ -121,12 +130,10 @@ class ConvolutionMatcher(BaseMatcher):
 
     def __init__(self, mode: str = "fvc", variables=None):
         super().__init__(mode, variables)
-        from .convolution import conv_match_all
-
-        self._conv_match_all = conv_match_all
+        _conv_match_all()
 
     def _search(self, text: TextString) -> MatchReport:
-        return self._conv_match_all(self.pattern_, text, mode=self.mode)
+        return _conv_match_all()(self.pattern_, text, mode=self.mode)
 
 
 class KmpMatcher(BaseMatcher):

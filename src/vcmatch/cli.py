@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import string
 import sys
 import time
@@ -131,11 +132,13 @@ def _read_bytes(path: str) -> bytes:
 
 def _cmd_find(args) -> int:
     try:
+        # Inline values are the user's bytes: argv decodes undecodable
+        # bytes to surrogate escapes, which os.fsencode turns back.
         pattern = (
-            args.pattern.encode() if args.pattern is not None else _read_bytes(args.pattern_file)
+            os.fsencode(args.pattern) if args.pattern is not None else _read_bytes(args.pattern_file)
         )
         text = (
-            args.text_inline.encode()
+            os.fsencode(args.text_inline)
             if args.text_inline is not None
             else _read_bytes(args.text_file)
         )

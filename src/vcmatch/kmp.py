@@ -21,9 +21,17 @@ construction, and live pvc cells never tie two window variables together.
 ``ShiftTable`` (the cells, materialised) and ``flatten_rows`` (their bit
 rows) are the inspectable reference the engine's rows are tested against.
 
-The engine memoises the failure function per (prefix length, bindings), the
-lazy-DFA idea of RE2: the cache is flushed whenever it reaches
-``FAILURE_CACHE_CAP`` entries, so memory stays bounded on any input.
+The engine memoises the failure function per (prefix length, bindings) in
+a cache flushed whenever it reaches ``FAILURE_CACHE_CAP`` entries.  Where
+failures run dense, the scan itself becomes a lazily built DFA, as in RE2
+(Cox, "Regular Expression Matching in the Wild"): its states are the scan
+states (prefix length, bindings), and each transition is filled on first
+use by one character of the plain loop.  The scan starts in the plain loop,
+hands over to the DFA once failures outnumber half of the characters read
+(from ``DFA_HANDOVER_INDEX`` on), and hands back for the rest of the text if
+the DFA's fills outrun the characters it reads.  The DFA's table is flushed
+when its estimated size reaches ``DFA_TABLE_BYTES``, so memory stays
+bounded on any input.
 """
 
 from __future__ import annotations
@@ -43,6 +51,20 @@ from .naive import MatchReport
 MACHINE_WORD = 64
 # About 3 MiB of cached failure results with 26 variables.
 FAILURE_CACHE_CAP = 2048
+# The scan hands over to the lazy DFA at the first failure from this text
+# index on where failures outnumber half of the characters read ...
+DFA_HANDOVER_INDEX = 256
+# ... and hands back for the rest of the text once, past a warm-up of
+# DFA_WARMUP_FILLS, its fills outnumber 1/DFA_HANDBACK_RATIO of the
+# characters it read.
+DFA_WARMUP_FILLS = 1024
+DFA_HANDBACK_RATIO = 4
+# The DFA table is flushed when its estimated size reaches this.
+DFA_TABLE_BYTES = 1 << 20
+# Estimated bytes of a state beyond its key's values and row's entries (the
+# tuple and list headers and a dict slot), and of an edge completing a match.
+_STATE_BYTES = 160
+_EDGE_BYTES = 128
 
 logger = logging.getLogger(__name__)
 
@@ -347,13 +369,57 @@ def _row_counts(bitmaps: BitmapSet) -> tuple[int, int]:
     return live, sum({id(row): len(row) for row in rows}.values())
 
 
+class _Dfa:
+    """The scan as a lazily built DFA, one per engine.
+
+    A state is a scan state (k, *binding values in variables_by_prefix[k]
+    order), the failure cache's key format, between two characters of the
+    plain loop.  Its row is a list indexed by text code, holding the row of
+    the state that code leads to, and the key in its last slot: a warm step
+    is one subscript.  An entry is None until filled, and stays None for an
+    edge that completes a match; ``emits`` holds those, keyed by
+    (id(source row), code), so that only matches leave the fast path.
+    """
+
+    __slots__ = ("rows", "emits", "width", "nbytes")
+
+    def __init__(self, width: int) -> None:
+        self.rows: dict[tuple, list] = {}
+        self.emits: dict[tuple[int, int], list] = {}
+        self.width = width
+        self.nbytes = 0
+
+    def state(self, key: tuple) -> list:
+        row = self.rows.get(key)
+        if row is None:
+            row = self.rows[key] = [None] * (self.width + 1)
+            row[-1] = key
+            self.nbytes += _STATE_BYTES + 8 * (len(key) + self.width)
+        return row
+
+    def widen(self, width: int) -> None:
+        """Give every row entries for the codes a text interned after the fit."""
+        grow = [None] * (width - self.width)
+        for row in self.rows.values():
+            row[-1:-1] = grow
+        self.nbytes += 8 * len(grow) * len(self.rows)
+        self.width = width
+
+    def clear(self) -> None:
+        for row in self.rows.values():
+            row.clear()  # rows point at rows: free them without the cycle collector
+        self.rows.clear()
+        self.emits.clear()
+        self.nbytes = 0
+
+
 class KmpEngine:
     """Preprocessed pattern: bit rows only.
 
     The bit rows are immutable after construction; each text scan keeps its
-    own cursor and bindings, so one instance may serve many texts.  The one
-    state that grows during searches is the failure cache, a pure cache:
-    answers never depend on what it holds.
+    own cursor and bindings, so one instance may serve many texts.  The
+    state that grows during searches, the failure cache and the DFA table,
+    is a pure cache: answers never depend on what it holds.
     """
 
     def __init__(
@@ -381,6 +447,7 @@ class KmpEngine:
         self._link_sources = [tuple(firsts[: len(vids)]) for vids in pattern.variables_by_prefix]
         # (k, *binding values in variables_by_prefix[k] order) -> (j, succeeding)
         self._failure_cache: dict[tuple, tuple[int, dict[int, int]]] = {}
+        self._dfa: Optional[_Dfa] = None  # built by the first scan that hands over
 
     def failure(self, k: int, pi: Substitution) -> tuple[int, Substitution]:
         """Resume data after a mismatch at pattern position k+1.
@@ -442,18 +509,52 @@ class KmpEngine:
         return j, succeeding.copy()
 
     def find_all(self, text: TextString) -> MatchReport:
-        """Scan the text once, shifting through the failure rows on mismatch."""
-        pattern = self.pattern
-        m, n = len(pattern), len(text)
+        """Scan the text once, shifting through the failure rows on mismatch.
+
+        The scan starts in the plain loop (:meth:`_scan`), moves to the
+        lazy DFA (:meth:`_dfa_scan`) once failures run dense, and comes back
+        for the rest of the text if the DFA keeps meeting fresh states.
+        """
+        m, n = len(self.pattern), len(text)
         if m > n:
             return MatchReport([])
-        injective = self.injective
-        pcodes = pattern.codes
         tcodes = text.codes
         positions: list[int] = []
-        forward: dict[int, int] = {}
-        k = 0  # matched prefix length
-        i = 0  # next text index to read
+        i, k, forward = self._scan(tcodes, 0, n, 0, {}, positions, DFA_HANDOVER_INDEX)
+        handover = handback = None
+        fills = 0
+        if i < n:
+            handover = i
+            i, k, forward, fills = self._dfa_scan(text, i, k, forward, positions)
+            if i < n:
+                handback = i
+                self._scan(tcodes, i, n, k, forward, positions, n + 1)
+        if logger.isEnabledFor(logging.DEBUG):
+            dfa = self._dfa
+            logger.debug(
+                "kmp scan: n=%d handover=%s fills=%d handback=%s states=%d table_bytes=%d",
+                n, handover, fills, handback,
+                0 if dfa is None else len(dfa.rows), 0 if dfa is None else dfa.nbytes,
+            )
+        return MatchReport(positions)
+
+    def _scan(
+        self, tcodes: Sequence[int], i: int, n: int, k: int, forward: dict[int, int],
+        positions: list[int], handover_at: int,
+    ) -> tuple[int, int, dict[int, int]]:
+        """The plain loop over ``tcodes[i:n]`` from scan state (k, forward).
+
+        Appends the 1-based start of each match to ``positions`` and returns
+        the state (i, k, forward) it stops in: at n, or from index
+        ``handover_at`` on as soon as failures outnumber half of i.  This is
+        the one copy of the match rule; the DFA fills its entries through
+        it, one character at a time.
+        """
+        injective = self.injective
+        pcodes = self.pattern.codes
+        m = len(pcodes)
+        failure = self._failure_ids
+        failures = 0
         while i < n:
             code = pcodes[k]
             t = tcodes[i]
@@ -478,5 +579,77 @@ class KmpEngine:
             elif k == 0:
                 i += 1
                 continue
-            k, forward = self._failure_ids(k, forward)
-        return MatchReport(positions)
+            k, forward = failure(k, forward)
+            failures += 1
+            if i >= handover_at and failures * 2 > i:
+                break
+        return i, k, forward
+
+    def _dfa_scan(
+        self, text: TextString, i: int, k: int, forward: dict[int, int], positions: list[int]
+    ) -> tuple[int, int, dict[int, int], int]:
+        """The lazy DFA over the text from index i and scan state (k, forward).
+
+        A warm step is one subscript; a missing entry is filled by
+        :meth:`_fill`.  Returns (i, k, forward, fills): i is n, or the index
+        where fills outran characters and the plain loop should take over.
+        """
+        width = text.table.num_constants
+        dfa = self._dfa
+        if dfa is None:
+            dfa = self._dfa = _Dfa(width)
+        elif dfa.width < width:
+            dfa.widen(width)
+        m, n = len(self.pattern), len(text)
+        emits = dfa.emits
+        row = dfa.state((k, *forward.values()))
+        start, fills = i, 0
+        codes = iter(text.codes)
+        codes.__setstate__(i)
+        while True:
+            for code in codes:
+                target = row[code]
+                if target is None:
+                    break
+                row = target
+            else:
+                i = n
+                break
+            i = n - codes.__length_hint__()  # the index past ``code``
+            target = emits.get((id(row), code))
+            if target is None:
+                fills += 1
+                if fills > DFA_WARMUP_FILLS and fills * DFA_HANDBACK_RATIO > i - start:
+                    i -= 1
+                    break
+                target, matched = self._fill(dfa, row, code)
+                if not matched:
+                    row = target
+                    continue
+            positions.append(i - m + 1)
+            row = target
+        key = row[-1]
+        k = key[0]
+        return i, k, dict(zip(self.pattern.variables_by_prefix[k], key[1:])), fills
+
+    def _fill(self, dfa: "_Dfa", row: list, code: int) -> tuple[list, bool]:
+        """Record the edge from ``row``'s state on ``code``: one character of
+        the plain loop.  Returns the target row, and whether the edge
+        completes a match.
+        """
+        key = row[-1]
+        if dfa.nbytes >= DFA_TABLE_BYTES:
+            logger.debug("kmp dfa flushed at %d states, %d bytes", len(dfa.rows), dfa.nbytes)
+            dfa.clear()
+            row = dfa.state(key)
+        k = key[0]
+        matched: list[int] = []
+        forward = dict(zip(self.pattern.variables_by_prefix[k], key[1:]))
+        _, k, forward = self._scan((code,), 0, 1, k, forward, matched, 2)  # 2: never hand over
+        target = dfa.state((k, *forward.values()))
+        if matched:
+            dfa.emits[id(row), code] = target
+            dfa.nbytes += _EDGE_BYTES
+        else:
+            row[code] = target
+        return target, bool(matched)

@@ -8,6 +8,8 @@ import pytest
 
 import vcmatch
 from vcmatch.cli import main
+from vcmatch.core import classify_input
+from vcmatch.naive import naive_all
 
 NUMPY_AFTER_FIND = """
 import sys
@@ -90,6 +92,16 @@ class TestFind:
         code = main(["find", "--pattern", "ABAb", "--text-file", "-", "--mode", "fvc"])
         assert code == 0
         assert capsys.readouterr().out == "1\n2\n4\n"
+
+    @pytest.mark.parametrize("algo", ["kmp", "all"])
+    def test_undecodable_inline_bytes_are_searched_raw(self, capsys, algo):
+        # argv carries byte 0xff as the surrogate escape "\udcff".
+        pattern, text = "a\udcffA", "xa\udcffbza\udcffa\udcff\udcff"
+        code = main(["find", "--pattern", pattern, "--text-inline", text, "--algo", algo])
+        assert code == 0
+        expected = naive_all(*classify_input(b"a\xffA", b"xa\xffbza\xffa\xff\xff")).positions
+        assert expected == [2, 6, 8]
+        assert capsys.readouterr().out == "".join(f"{p}\n" for p in expected)
 
     def test_custom_variables_flag(self, capsys):
         code = main(["find", "--pattern", "xax", "--text-inline", "babab",

@@ -8,12 +8,14 @@ import pytest
 
 from helpers import random_pattern_text
 from vcmatch import kmp
+from vcmatch.bench import make_inputs
 from vcmatch.core import Substitution, classify_input, encode_pattern
 from vcmatch.crosscheck import generate_case
 from vcmatch.kmp import KmpEngine
 from vcmatch.kmp_fvc import build_bitmaps, build_table
 from vcmatch.kmp_pvc import PvcKmp, build_injective_table, build_t_bitmaps
 from vcmatch.matchers import make_matcher
+from vcmatch.naive import naive_all
 
 
 def table_succeeding(entry, prefix_vars, forward, injective):
@@ -247,3 +249,136 @@ def test_full_failure_cache_stays_small():
         tracemalloc.stop()
     assert len(engine._failure_cache) == kmp.FAILURE_CACHE_CAP
     assert peak <= 4 * 2**20
+
+
+def scan_lines(caplog) -> list[dict]:
+    """The fields of each ``kmp scan:`` debug line."""
+    return [
+        dict(item.split("=") for item in r.getMessage().split()[2:])
+        for r in caplog.records
+        if r.getMessage().startswith("kmp scan:")
+    ]
+
+
+@pytest.mark.parametrize("mode", ["fvc", "pvc"])
+@pytest.mark.parametrize("chunk_width", [8, 16, 64])
+def test_dfa_scans_equal_the_oracle(mode, chunk_width, caplog):
+    rng = random.Random(700 + chunk_width + len(mode))
+    with caplog.at_level(logging.DEBUG, logger="vcmatch.kmp"):
+        for _ in range(6):
+            praw, _ = generate_case(rng, max_m=12, repeat_bias=rng.random() < 0.5)
+            matcher = make_matcher("kmp", mode=mode, chunk_width=chunk_width).fit(praw)
+            oracle = make_matcher("naive", mode=mode).fit(praw)
+            # One engine serves texts over ever more letters, so later texts
+            # bring codes interned after the fit and after the DFA was built;
+            # each is searched twice, the second time on a warm DFA.
+            for letters in (3, 5, 7):
+                traw = bytes(rng.choice(b"abcdefg"[:letters]) for _ in range(2000 + rng.randrange(1000)))
+                expected = oracle.predict(traw)
+                assert matcher.predict(traw) == expected
+                assert matcher.predict(traw) == expected
+    lines = scan_lines(caplog)
+    assert len(lines) == 6 * 3 * 2
+    # A pattern that opens with a constant fails only past a first match,
+    # so not every scan hands over.
+    assert sum(line["handover"] != "None" for line in lines) >= len(lines) // 3
+
+
+@pytest.mark.parametrize("injective", [False, True])
+def test_dfa_hand_over_keeps_matches_at_its_edges(injective, caplog):
+    # A variable then a second symbol ("AB" under pvc, "Ac" under fvc)
+    # fails on nearly every character of a unary text, so the plain loop
+    # hands over at index 256.  A "c" at index 255 completes a match there
+    # (pvc: and one at 256, the DFA's first character), and a "c" at the
+    # end completes one at the last character.
+    text = bytearray(b"a" * 3000)
+    text[255] = text[-1] = ord("c")
+    P, T = classify_input(b"AB" if injective else b"Ac", bytes(text))
+    engine = KmpEngine(P, injective)
+    with caplog.at_level(logging.DEBUG, logger="vcmatch.kmp"):
+        positions = engine.find_all(T).positions
+    assert positions == naive_all(P, T, mode="pvc" if injective else "fvc").positions
+    assert positions == ([255, 256, 2999] if injective else [255, 2999])
+    assert scan_lines(caplog)[0]["handover"] == "256"
+
+
+@pytest.mark.parametrize("forced", ["handback", "flush"])
+@pytest.mark.parametrize("mode", ["fvc", "pvc"])
+def test_dfa_hand_back_and_flush_keep_positions(forced, mode, monkeypatch, caplog):
+    rng = random.Random(71 + len(mode))
+    patterns = [generate_case(rng, max_m=10, repeat_bias=True)[0] for _ in range(12)]
+    texts = [[bytes(rng.choice(b"abcd") for _ in range(2500)) for _ in range(3)] for _ in patterns]
+    matchers = [make_matcher("kmp", mode=mode).fit(p) for p in patterns]
+    for matcher, (first, *_) in zip(matchers, texts):
+        matcher.predict(first)  # each DFA is warm before the rules change
+    if forced == "handback":  # the first fill hands back
+        monkeypatch.setattr(kmp, "DFA_WARMUP_FILLS", 0)
+        monkeypatch.setattr(kmp, "DFA_HANDBACK_RATIO", 10**9)
+    else:  # every fill flushes, and the DFA never hands back
+        monkeypatch.setattr(kmp, "DFA_TABLE_BYTES", 1)
+        monkeypatch.setattr(kmp, "DFA_WARMUP_FILLS", 10**9)
+    with caplog.at_level(logging.DEBUG, logger="vcmatch.kmp"):
+        for praw, matcher, pair in zip(patterns, matchers, texts):
+            oracle = make_matcher("naive", mode=mode).fit(praw)
+            for traw in pair:
+                assert matcher.predict(traw) == oracle.predict(traw)
+    lines = [line for line in scan_lines(caplog) if line["handover"] != "None"]
+    handbacks = [line for line in lines if line["handback"] != "None"]
+    if forced == "handback":
+        # A warm DFA hands back at its first fill, past the hand-over.
+        assert any(int(line["handback"]) > int(line["handover"]) for line in handbacks)
+    else:
+        assert "kmp dfa flushed" in caplog.text
+        assert lines and not handbacks
+
+
+def test_dfa_table_stays_bounded(monkeypatch, caplog):
+    # Three variables then a constant the text lacks: every character fails,
+    # nearly always into a state not seen before (25^3 of them).
+    rng = random.Random(72)
+    text = "".join(rng.choice(string.ascii_lowercase[1:]) for _ in range(12000))
+    P, T = classify_input("ABCa", text)
+    monkeypatch.setattr(kmp, "FAILURE_CACHE_CAP", 1)
+    monkeypatch.setattr(kmp, "DFA_WARMUP_FILLS", len(text))  # never hand back
+    peaks = {}
+    for cap in (2**16, 2**20):
+        monkeypatch.setattr(kmp, "DFA_TABLE_BYTES", cap)
+        engine = KmpEngine(P, injective=False)
+        tracemalloc.start()
+        try:
+            assert engine.find_all(T).positions == []
+            peaks[cap] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert engine._dfa.nbytes < cap + 1024
+    with caplog.at_level(logging.DEBUG, logger="vcmatch.kmp"):
+        engine.find_all(T)
+    assert "kmp dfa flushed" in caplog.text
+    # The estimate tracks what the table holds: about 2,700 states fill 1 MiB.
+    assert peaks[2**16] < 2**17
+    assert 2**19 < peaks[2**20] < 2**21
+
+
+def test_one_mib_scan_hands_over_and_never_back(caplog):
+    # The warm-up of a cold DFA fills an entry on many characters; that
+    # must not read as fills outrunning characters.
+    praw, traw = make_inputs(2**20, 32, seed=1)
+    P, T = classify_input(praw, traw)
+    with caplog.at_level(logging.DEBUG, logger="vcmatch.kmp"):
+        positions = KmpEngine(P, injective=False).find_all(T).positions
+    (line,) = scan_lines(caplog)
+    assert line["handover"] == "256" and line["handback"] == "None"
+    assert int(line["states"]) < 1000
+    assert positions == make_matcher("conv").fit(praw).predict(traw)
+
+
+def test_plain_scans_build_no_dfa(caplog):
+    P, T = classify_input("ABAb", "ababbbb" * 30)
+    engine = KmpEngine(P, injective=False)
+    with caplog.at_level(logging.DEBUG, logger="vcmatch.kmp"):
+        engine.find_all(T)
+    assert scan_lines(caplog) == [
+        {"n": "210", "handover": "None", "fills": "0", "handback": "None", "states": "0",
+         "table_bytes": "0"}
+    ]
+    assert engine._dfa is None

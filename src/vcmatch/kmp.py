@@ -28,10 +28,9 @@ failures run dense, the scan itself becomes a lazily built DFA, as in RE2
 states (prefix length, bindings), and each transition is filled on first
 use by one character of the plain loop.  The scan starts in the plain loop,
 hands over to the DFA once failures outnumber half of the characters read
-(from ``DFA_HANDOVER_INDEX`` on), and hands back for the rest of the text if
-the DFA's fills outrun the characters it reads.  The DFA's table is flushed
-when its estimated size reaches ``DFA_TABLE_BYTES``, so memory stays
-bounded on any input.
+(from ``DFA_HANDOVER_INDEX`` on).  When the DFA's estimated size reaches
+``DFA_TABLE_BYTES``, its table is flushed, so memory stays bounded on any
+input, and the scan hands back to the plain loop for the rest of the text.
 """
 
 from __future__ import annotations
@@ -54,12 +53,10 @@ FAILURE_CACHE_CAP = 2048
 # The scan hands over to the lazy DFA at the first failure from this text
 # index on where failures outnumber half of the characters read ...
 DFA_HANDOVER_INDEX = 256
-# ... and hands back for the rest of the text once, past a warm-up of
-# DFA_WARMUP_FILLS, its fills outnumber 1/DFA_HANDBACK_RATIO of the
-# characters it read.
-DFA_WARMUP_FILLS = 1024
-DFA_HANDBACK_RATIO = 4
-# The DFA table is flushed when its estimated size reaches this.
+# ... and hands back for the rest of the text when the DFA's table reaches
+# DFA_TABLE_BYTES (estimated), which flushes it.  A scan whose states outgrow
+# the table meets fresh states faster than it reuses them, and a step into a
+# fresh state costs about 1.5x a step of the plain loop.
 DFA_TABLE_BYTES = 1 << 20
 # Estimated bytes of a state beyond its key's values and row's entries (the
 # tuple and list headers and a dict slot), and of an edge completing a match.
@@ -513,7 +510,7 @@ class KmpEngine:
 
         The scan starts in the plain loop (:meth:`_scan`), moves to the
         lazy DFA (:meth:`_dfa_scan`) once failures run dense, and comes back
-        for the rest of the text if the DFA keeps meeting fresh states.
+        for the rest of the text if the DFA's table fills up.
         """
         m, n = len(self.pattern), len(text)
         if m > n:
@@ -592,7 +589,7 @@ class KmpEngine:
 
         A warm step is one subscript; a missing entry is filled by
         :meth:`_fill`.  Returns (i, k, forward, fills): i is n, or the index
-        where fills outran characters and the plain loop should take over.
+        where the table filled up and the plain loop should take over.
         """
         width = text.table.num_constants
         dfa = self._dfa
@@ -603,7 +600,7 @@ class KmpEngine:
         m, n = len(self.pattern), len(text)
         emits = dfa.emits
         row = dfa.state((k, *forward.values()))
-        start, fills = i, 0
+        fills = 0
         codes = iter(text.codes)
         codes.__setstate__(i)
         while True:
@@ -618,10 +615,10 @@ class KmpEngine:
             i = n - codes.__length_hint__()  # the index past ``code``
             target = emits.get((id(row), code))
             if target is None:
-                fills += 1
-                if fills > DFA_WARMUP_FILLS and fills * DFA_HANDBACK_RATIO > i - start:
+                if dfa.nbytes >= DFA_TABLE_BYTES:
                     i -= 1
                     break
+                fills += 1
                 target, matched = self._fill(dfa, row, code)
                 if not matched:
                     row = target
@@ -629,6 +626,9 @@ class KmpEngine:
             positions.append(i - m + 1)
             row = target
         key = row[-1]
+        if i < n:
+            logger.debug("kmp dfa flushed at %d states, %d bytes", len(dfa.rows), dfa.nbytes)
+            dfa.clear()
         k = key[0]
         return i, k, dict(zip(self.pattern.variables_by_prefix[k], key[1:])), fills
 
@@ -638,10 +638,6 @@ class KmpEngine:
         completes a match.
         """
         key = row[-1]
-        if dfa.nbytes >= DFA_TABLE_BYTES:
-            logger.debug("kmp dfa flushed at %d states, %d bytes", len(dfa.rows), dfa.nbytes)
-            dfa.clear()
-            row = dfa.state(key)
         k = key[0]
         matched: list[int] = []
         forward = dict(zip(self.pattern.variables_by_prefix[k], key[1:]))

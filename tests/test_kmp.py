@@ -302,21 +302,15 @@ def test_dfa_hand_over_keeps_matches_at_its_edges(injective, caplog):
     assert scan_lines(caplog)[0]["handover"] == "256"
 
 
-@pytest.mark.parametrize("forced", ["handback", "flush"])
 @pytest.mark.parametrize("mode", ["fvc", "pvc"])
-def test_dfa_hand_back_and_flush_keep_positions(forced, mode, monkeypatch, caplog):
+def test_dfa_flush_hands_back_and_keeps_positions(mode, monkeypatch, caplog):
     rng = random.Random(71 + len(mode))
     patterns = [generate_case(rng, max_m=10, repeat_bias=True)[0] for _ in range(12)]
     texts = [[bytes(rng.choice(b"abcd") for _ in range(2500)) for _ in range(3)] for _ in patterns]
     matchers = [make_matcher("kmp", mode=mode).fit(p) for p in patterns]
     for matcher, (first, *_) in zip(matchers, texts):
-        matcher.predict(first)  # each DFA is warm before the rules change
-    if forced == "handback":  # the first fill hands back
-        monkeypatch.setattr(kmp, "DFA_WARMUP_FILLS", 0)
-        monkeypatch.setattr(kmp, "DFA_HANDBACK_RATIO", 10**9)
-    else:  # every fill flushes, and the DFA never hands back
-        monkeypatch.setattr(kmp, "DFA_TABLE_BYTES", 1)
-        monkeypatch.setattr(kmp, "DFA_WARMUP_FILLS", 10**9)
+        matcher.predict(first)  # each DFA is warm before its cap shrinks
+    monkeypatch.setattr(kmp, "DFA_TABLE_BYTES", 1)  # every table is full at its first fill
     with caplog.at_level(logging.DEBUG, logger="vcmatch.kmp"):
         for praw, matcher, pair in zip(patterns, matchers, texts):
             oracle = make_matcher("naive", mode=mode).fit(praw)
@@ -324,12 +318,11 @@ def test_dfa_hand_back_and_flush_keep_positions(forced, mode, monkeypatch, caplo
                 assert matcher.predict(traw) == oracle.predict(traw)
     lines = [line for line in scan_lines(caplog) if line["handover"] != "None"]
     handbacks = [line for line in lines if line["handback"] != "None"]
-    if forced == "handback":
-        # A warm DFA hands back at its first fill, past the hand-over.
-        assert any(int(line["handback"]) > int(line["handover"]) for line in handbacks)
-    else:
-        assert "kmp dfa flushed" in caplog.text
-        assert lines and not handbacks
+    # A scan hands back at its first miss, without filling it; only a scan
+    # that the warm DFA carries to the end of its text never misses.
+    assert all(line["fills"] == "0" for line in lines)
+    assert handbacks and caplog.text.count("kmp dfa flushed") == len(handbacks)
+    assert any(int(line["handback"]) > int(line["handover"]) for line in handbacks)
 
 
 def test_dfa_table_stays_bounded(monkeypatch, caplog):
@@ -339,7 +332,6 @@ def test_dfa_table_stays_bounded(monkeypatch, caplog):
     text = "".join(rng.choice(string.ascii_lowercase[1:]) for _ in range(12000))
     P, T = classify_input("ABCa", text)
     monkeypatch.setattr(kmp, "FAILURE_CACHE_CAP", 1)
-    monkeypatch.setattr(kmp, "DFA_WARMUP_FILLS", len(text))  # never hand back
     peaks = {}
     for cap in (2**16, 2**20):
         monkeypatch.setattr(kmp, "DFA_TABLE_BYTES", cap)
@@ -354,14 +346,16 @@ def test_dfa_table_stays_bounded(monkeypatch, caplog):
     with caplog.at_level(logging.DEBUG, logger="vcmatch.kmp"):
         engine.find_all(T)
     assert "kmp dfa flushed" in caplog.text
+    (line,) = scan_lines(caplog)
+    assert int(line["handback"]) < len(text) // 2  # the plain loop finishes the text
     # The estimate tracks what the table holds: about 2,700 states fill 1 MiB.
     assert peaks[2**16] < 2**17
     assert 2**19 < peaks[2**20] < 2**21
 
 
 def test_one_mib_scan_hands_over_and_never_back(caplog):
-    # The warm-up of a cold DFA fills an entry on many characters; that
-    # must not read as fills outrunning characters.
+    # A cold DFA fills an entry on many of its first characters; its table
+    # stays far below the cap, so the scan stays in the DFA.
     praw, traw = make_inputs(2**20, 32, seed=1)
     P, T = classify_input(praw, traw)
     with caplog.at_level(logging.DEBUG, logger="vcmatch.kmp"):

@@ -56,8 +56,9 @@ DFA_HANDOVER_INDEX = 256
 # ... and hands back for the rest of the text when the DFA's table reaches
 # DFA_TABLE_BYTES (estimated), which flushes it.  A scan whose states outgrow
 # the table meets fresh states faster than it reuses them, and a step into a
-# fresh state costs about 1.5x a step of the plain loop.
-DFA_TABLE_BYTES = 1 << 20
+# fresh state costs about 1.5x a step of the plain loop.  With a full
+# failure cache beside it, an engine stays under 4 MiB.
+DFA_TABLE_BYTES = 1 << 19
 # Estimated bytes of a state beyond its key's values and row's entries (the
 # tuple and list headers and a dict slot), and of an edge completing a match.
 _STATE_BYTES = 160

@@ -8,15 +8,18 @@ only in the cell rule (``kmp_fvc.add_condition``, ``kmp_pvc._absorb``),
 chosen by the engine's one switch, ``injective``.
 
 The engine keeps only bit rows (little-endian tuples of chunk_width-bit
-words), and the failure function is a handful of word-wise ANDs and a
-highest-set-bit scan.  Cell (k, j) is cell (k-1, j-1) plus one aligned
-pair, so the fit (:func:`diagonal_rows`) walks every diagonal d = k - j
-once, holding one mutable cell state per live diagonal; only a pair that
-changes a state touches the rows.  A prefix variable's link, which
-rebuilds the succeeding bindings after a shift, is read off the pattern:
-the window code aligned with its first occurrence.  pvc needs no
-pairwise-distinct rows: the preceding bindings are injective by
-construction, and live pvc cells never tie two window variables together.
+words): per prefix length, the live row and, in sparse dicts, the value,
+default and tie rows that restrict it (:class:`BitmapSet`).  The failure
+function ANDs the live row with the stored rows its bindings select, a
+handful of word-wise ANDs, and scans for the highest set bit.  Cell (k, j)
+is cell (k-1, j-1) plus one aligned pair, so the fit (:func:`diagonal_rows`)
+walks every diagonal d = k - j once, holding one mutable cell state per
+live diagonal; only a pair that changes a state touches the rows.  A
+prefix variable's link, which rebuilds the succeeding bindings after a
+shift, is read off the pattern: the window code aligned with its first
+occurrence.  pvc needs no tie rows: the preceding bindings are injective
+by construction, and live pvc cells never tie two window variables
+together.
 
 ``ShiftTable`` (the cells, materialised) and ``flatten_rows`` (their bit
 rows) are the inspectable reference the engine's rows are tested against.
@@ -40,8 +43,8 @@ import struct
 import time
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
-from operator import and_, invert, or_, rshift, xor
+from itertools import accumulate, chain, compress, repeat
+from operator import and_, invert, ne, or_, rshift, xor
 from typing import Iterable, Optional, Sequence
 
 from .core import PatternString, Substitution, TextString
@@ -125,20 +128,23 @@ class ShiftTable:
 class BitmapSet:
     """Bit-packed shift rows, one k-bit row family per prefix length k.
 
-    * ``valid[k]``: bit j set iff cell (k, j) is alive.
-    * ``allow_value[k][v][c]``: bit j cleared iff shift j forces variable v
+    * ``valid[k]``: bit j set iff cell (k, j) is alive: the live row.
+    * ``allow_value_default[k][v]``: the live row with every shift cleared
+      that pins v to a constant; it serves any constant that does not occur
+      in the pattern, which can never satisfy a pin.
+    * ``allow_value[k][v, c]``: bit j cleared iff shift j forces variable v
       to a constant other than c, or (pvc) v's class holds a prefix
       variable and c's class a different one, or the cell is dead.
-    * ``allow_value_default[k][v]``: the same row for any constant that does
-      not occur in the pattern (such a value can never satisfy a forced
-      constant, so the row clears every shift whose class pins v down).
-    * ``allow_distinct[k][x][y]`` (fvc; None for pvc): bit j cleared iff
+    * ``allow_distinct[k][x, y]`` (fvc; None for pvc): bit j cleared iff
       shift j makes y the representative of x, i.e. forces equal bindings.
-      Queried in both orders, which makes the conjunction independent of
-      representative choice; ``[k][x][x]`` is the live row.
 
-    Rows are tuples, and equal row families may share them: they are read
-    only.
+    The families past ``valid`` are sparse: a dict per k holds only the rows
+    that differ from the row a lookup would otherwise use.  A missing
+    default or tie row is the live row, and a missing value row (v, c) is
+    v's default row.  So a variable pinned to constant c alone keeps its
+    value row (v, c), the live row, because it shadows v's default.  Every
+    key at k names variables of ``variables_by_prefix[k]``.  Rows are
+    tuples and may be shared: they are read only.
     """
 
     chunk_width: int
@@ -177,13 +183,8 @@ def _cutter(chunk_width: int, m: int):
     ]
 
 
-def _transpose(columns: list, m: int) -> list:
-    """Per-k tuples from per-position columns over k = 1..m."""
-    return list(zip(*columns)) if columns else [()] * m
-
-
 def _assemble(
-    pattern: PatternString, injective: bool, chunk_width: int,
+    injective: bool, chunk_width: int,
     alive: list[int], pinned: dict, tied: dict, clashing: dict, shifts: list[int],
 ) -> BitmapSet:
     """The bit rows from mask columns over prefix lengths k = 1..m.
@@ -192,12 +193,11 @@ def _assemble(
     entry of each column: ``alive`` marks the live cells, ``pinned[v, c]``
     the cells forcing v to constant c, ``tied[x, y]`` those making y the
     representative of x, and ``clashing[v, c]`` those whose classes of v
-    and c hold different prefix variables.  Every row family is built one
-    column at a time, so the per-row work runs inside ``map``.
+    and c hold different prefix variables; an event column marks live
+    cells only.  A row family's k-th dict keeps only the rows that differ
+    from their fallback row.
     """
     m = len(alive)
-    nv = pattern.table.num_variables
-    sigma = [c.id for c in pattern.constants]
 
     def shifted(column: list[int]) -> list[int]:
         return list(map(rshift, column, shifts))
@@ -225,39 +225,26 @@ def _assemble(
 
     cut = _cutter(chunk_width, m)
     valid = cut(alive)
-    free = [valid] * nv
-    for vid, rows in unpinned.items():
-        free[vid] = cut(rows)
-    # Per variable, one row column per constant; each k's dict zips them,
-    # and variables with the same columns share their dicts (read only).
-    columns = [[rows] * len(sigma) for rows in free]
-    position = {cid: i for i, cid in enumerate(sigma)}
-    for (vid, cid), rows in values.items():
-        columns[vid][position[cid]] = valid if rows is alive else cut(rows)
-    built: dict[tuple, list] = {}
-    value_rows = []
-    for by_const in columns:
-        key = tuple(map(id, by_const))
-        if key not in built:
-            built[key] = (
-                list(map(dict.fromkeys, repeat(sigma), by_const[0])) if len(set(key)) == 1
-                else list(map(dict, map(zip, repeat(sigma), _transpose(by_const, m))))
-            )
-        value_rows.append(built[key])
+
+    def sparse(columns: dict, fallback) -> list:
+        """Per k, a dict of the rows of ``columns`` that differ from the
+        column ``fallback(key)``."""
+        family: list[dict] = [{} for _ in range(m)]
+        for key, column in columns.items():
+            rows = valid if column is alive else cut(column)
+            for k in compress(range(m), map(ne, column, fallback(key))):
+                family[k][key] = rows[k]
+        return [None, *family]
+
     distinct = None
     if not injective:
-        ties = {key: cut(clear(alive, shifted(column))) for key, column in tied.items()}
-        untied = [(row,) * nv for row in valid]  # shared by every x without ties
-        tied_x = {x for x, _ in ties}
-        distinct = [None, *_transpose([
-            _transpose([ties.get((x, y), valid) for y in range(nv)], m) if x in tied_x else untied
-            for x in range(nv)
-        ], m)]
+        ties = {key: clear(alive, shifted(column)) for key, column in tied.items()}
+        distinct = sparse(ties, lambda _: alive)
     return BitmapSet(
         chunk_width,
         [None, *valid],
-        [None, *_transpose(value_rows, m)],
-        [None, *_transpose(free, m)],
+        sparse(values, lambda key: unpinned.get(key[0], alive)),
+        sparse(unpinned, lambda _: alive),
         distinct,
     )
 
@@ -288,7 +275,7 @@ def flatten_rows(
                 tied[pair][k] |= bit
             for pair in clashes:
                 clashing[pair][k] |= bit
-    return _assemble(pattern, injective, chunk_width, alive, pinned, tied, clashing, [0] * m)
+    return _assemble(injective, chunk_width, alive, pinned, tied, clashing, [0] * m)
 
 
 def build_bitmaps(
@@ -310,19 +297,10 @@ def _flip_log(m: int) -> defaultdict:
     return defaultdict(lambda: [0] * m)
 
 
-def _columns(log: dict) -> dict[tuple, list[int]]:
-    return {key: list(accumulate(flips, xor)) for key, flips in log.items()}
-
-
-def _bury(dead: list, k: int, m: int, deaths: list[int], logs: tuple, cell) -> None:
-    """Clear the bits of diagonals that died at prefix length k; ``cell``
-    rebuilds a reference cell from a state, to read its events."""
-    for d, *state in dead:
-        bit = 1 << (m - d)
-        deaths[k - 1] ^= bit
-        for log, events in zip(logs, cell(*state).read()):
-            for pair in events:
-                log[pair][k - 1] ^= bit
+def _columns(log: dict, alive: list[int]) -> dict[tuple, list[int]]:
+    """Per event key, its mask at every k: the running XOR of its flips,
+    cleared where its diagonal has died."""
+    return {key: list(map(and_, accumulate(flips, xor), alive)) for key, flips in log.items()}
 
 
 def diagonal_rows(
@@ -336,9 +314,9 @@ def diagonal_rows(
     satisfies costs a lookup or two.  Every event (a pin, tie or clash) has
     one int mask over diagonals, bit m - d for diagonal d: the walk logs
     each real change and each death as a flip at its prefix length, the
-    running XOR of an event's flips is its mask at every k, and row k is
-    that mask shifted down by m - k.  Equal to :func:`flatten_rows` of the
-    cell rows.
+    running XOR of an event's flips, cleared where its diagonal has died,
+    is its mask at every k, and row k is that mask shifted down by m - k.
+    Equal to :func:`flatten_rows` of the cell rows.
     """
     if chunk_width < 1:
         raise ValueError("chunk_width must be positive")
@@ -350,19 +328,19 @@ def diagonal_rows(
     m = len(pattern)
     deaths, logs = walk_diagonals(pattern.codes, m, pattern.table.num_variables)
     deaths[0] ^= (1 << m) - 1  # diagonals start live; those past k are shifted out
+    alive = list(accumulate(deaths, xor))
     return _assemble(
-        pattern, injective, chunk_width, list(accumulate(deaths, xor)),
-        *map(_columns, logs), list(range(m - 1, -1, -1)),
+        injective, chunk_width, alive,
+        *(_columns(log, alive) for log in logs), list(range(m - 1, -1, -1)),
     )
 
 
 def _row_counts(bitmaps: BitmapSet) -> tuple[int, int]:
     """Live cells, and the words of the distinct row objects held."""
-    rows = [*bitmaps.valid[1:], *chain.from_iterable(bitmaps.allow_value_default[1:])]
-    for value_rows in bitmaps.allow_value[1:]:
-        rows += [row for by_const in value_rows for row in by_const.values()]
-    for distinct in (bitmaps.allow_distinct or [None])[1:]:
-        rows += [row for by_var in distinct for row in by_var]
+    families = (bitmaps.allow_value, bitmaps.allow_value_default, bitmaps.allow_distinct or [None])
+    rows = [*bitmaps.valid[1:]]
+    for family in families:
+        rows += [row for stored in family[1:] for row in stored.values()]
     live = sum(w.bit_count() for row in bitmaps.valid[1:] for w in row)
     return live, sum({id(row): len(row) for row in rows}.values())
 
@@ -409,6 +387,9 @@ class _Dfa:
         self.rows.clear()
         self.emits.clear()
         self.nbytes = 0
+
+    # Rows point at rows: a dropped table frees them without the cycle collector.
+    __del__ = clear
 
 
 class KmpEngine:
@@ -480,19 +461,16 @@ class KmpEngine:
             return hit[0], hit[1].copy()
         bitmaps = self.bitmaps
         words = list(bitmaps.valid[k])
-        value_rows = bitmaps.allow_value[k]
-        default_rows = bitmaps.allow_value_default[k]
+        values = bitmaps.allow_value[k]
+        defaults = bitmaps.allow_value_default[k]
         for vid, cid in forward.items():
-            row = value_rows[vid].get(cid)
-            and_words(words, default_rows[vid] if row is None else row)
-        if not self.injective and len(forward) > 1:
-            distinct_rows = bitmaps.allow_distinct[k]
-            items = list(forward.items())
-            for x, cx in items:
-                row_x = distinct_rows[x]
-                for y, cy in items:
-                    if x != y and cx != cy:
-                        and_words(words, row_x[y])
+            row = values.get((vid, cid)) or defaults.get(vid)
+            if row is not None:
+                and_words(words, row)
+        if not self.injective:
+            for (x, y), row in bitmaps.allow_distinct[k].items():
+                if forward[x] != forward[y]:
+                    and_words(words, row)
         j = highest_set_bit(words, bitmaps.chunk_width)
         codes = self.pattern.codes
         base = k - j

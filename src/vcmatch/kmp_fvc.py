@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import PatternString, TextString
-from .kmp import MACHINE_WORD, KmpEngine, ShiftTable, _bury, _first_positions, _flip_log
+from .kmp import MACHINE_WORD, KmpEngine, ShiftTable, _first_positions, _flip_log
 from .kmp import BitmapSet, build_bitmaps  # noqa: F401  (re-exported)
 from .naive import MatchReport
 
@@ -128,7 +128,7 @@ def walk_diagonals(codes: Sequence[int], m: int, nv: int) -> tuple:
     start_reps = [-1 - vid for vid in range(nv)]
     singletons = [(vid,) for vid in range(nv)]
     deaths = [0] * m
-    logs = pinned, tied, clashing = _flip_log(m), _flip_log(m), _flip_log(m)
+    logs = pinned, tied, _ = _flip_log(m), _flip_log(m), _flip_log(m)
     live: list = []
     for k in range(1, m + 1):
         w = codes[k - 1]
@@ -147,12 +147,13 @@ def walk_diagonals(codes: Sequence[int], m: int, nv: int) -> tuple:
             if ra == rb:
                 continue
             merged = add_condition(reps, members, p, w)
+            bit = 1 << (m - d)
             if merged is None:
+                deaths[k - 1] ^= bit
                 dead.append(state)
                 continue
             winner, moved = merged
             loser_id = moved[0]
-            bit = 1 << (m - d)
             for vid in moved:
                 if vid != loser_id:
                     tied[vid, loser_id][k - 1] ^= bit
@@ -161,7 +162,6 @@ def walk_diagonals(codes: Sequence[int], m: int, nv: int) -> tuple:
                 else:
                     tied[vid, -1 - winner][k - 1] ^= bit
         if dead:
-            _bury(dead, k, m, deaths, logs, lambda reps, _: ConditionEntry(tuple(reps), {}, ()))
             live = [state for state in live if state not in dead]
         live.append((k, start_reps.copy(), singletons.copy()))
     return deaths, logs

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .core import PatternString, TextString
-from .kmp import MACHINE_WORD, KmpEngine, ShiftTable, _bury, _flip_log
+from .kmp import MACHINE_WORD, KmpEngine, ShiftTable, _flip_log
 from .kmp import BitmapSet as TBitmapSet  # noqa: F401  (re-exported)
 from .kmp import build_bitmaps as build_t_bitmaps  # noqa: F401  (re-exported)
 from .naive import MatchReport
@@ -159,10 +159,11 @@ def walk_diagonals(codes: Sequence[int], m: int, nv: int) -> tuple:
                 continue
             held.add(pair)
             seen_vc, seen_vp, seen_cp = len(vc), len(vp), len(cp)
+            bit = 1 << (m - d)
             if not _absorb(vc, cv, vp, pv, cp, pc, codes[q], w):
+                deaths[k - 1] ^= bit
                 dead.append(state)
                 continue
-            bit = 1 << (m - d)
             if len(vc) > seen_vc:  # a pin
                 pinned[next(reversed(vc.items()))][k - 1] ^= bit
             if len(vp) > seen_vp:  # a window variable met a prefix variable
@@ -176,7 +177,6 @@ def walk_diagonals(codes: Sequence[int], m: int, nv: int) -> tuple:
                     if other != prefix:
                         clashing[vid, cid][k - 1] ^= bit
         if dead:
-            _bury(dead, k, m, deaths, logs, lambda _, *maps: PartnerEntry(*maps))
             live = [state for state in live if state not in dead]
         live.append((k, set(), {}, {}, {}, {}, {}, {}))
     return deaths, logs

@@ -167,6 +167,17 @@ def bit_at(words, j: int, chunk_width: int) -> int:
     return (words[j // chunk_width] >> (j % chunk_width)) & 1
 
 
+def read_row(bitmaps, k: int, v: int, c=None, y=None):
+    """Row (k, v, c), v's default row (k, v) when ``c`` is None, or (fvc)
+    the tie row (k, v, y), read through the sparse fallbacks: a missing
+    default or tie row is the live row, a missing value row v's default."""
+    live = bitmaps.valid[k]
+    if y is not None:
+        return bitmaps.allow_distinct[k].get((v, y), live)
+    default = bitmaps.allow_value_default[k].get(v, live)
+    return default if c is None else bitmaps.allow_value[k].get((v, c), default)
+
+
 def expected_failure(pattern: PatternString, k: int, forward: dict[int, int], injective: bool):
     """Reference failure function straight from the definition.
 

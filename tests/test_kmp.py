@@ -1,3 +1,4 @@
+import gc
 import itertools
 import logging
 import random
@@ -113,6 +114,32 @@ def test_worst_case_fit_keeps_only_bit_rows():
         tracemalloc.stop()
     assert engine.bitmaps.max_valid_shift(len(pattern)) == len(pattern) - 1
     assert peak < 24 * 2**20
+
+
+@pytest.mark.parametrize("injective", [False, True])
+def test_sparse_rows_differ_from_their_fallbacks(injective):
+    rng = random.Random(80 + injective)
+    patterns = [random_pattern_text(rng, max_m=12, num_variables=4)[0] for _ in range(40)]
+    patterns += [periodic_pattern(rng) for _ in range(15)]
+    stored = 0
+    for P in patterns:
+        bitmaps = KmpEngine(P, injective, rng.choice([8, 64])).bitmaps
+        for k in range(1, len(P) + 1):
+            live = bitmaps.valid[k]
+            defaults = bitmaps.allow_value_default[k]
+            assert all(row != live for row in defaults.values())
+            values = bitmaps.allow_value[k]
+            assert all(row != defaults.get(v, live) for (v, _), row in values.items())
+            stored += len(defaults) + len(values)
+            if injective:
+                assert bitmaps.allow_distinct is None
+                continue
+            # The failure function reads forward[x] and forward[y] of each tie.
+            prefix_vars = set(P.variables_by_prefix[k])
+            for (x, y), row in bitmaps.allow_distinct[k].items():
+                assert row != live and {x, y} <= prefix_vars
+                stored += 1
+    assert stored
 
 
 @pytest.mark.parametrize("injective", [False, True])
@@ -351,6 +378,39 @@ def test_dfa_table_stays_bounded(monkeypatch, caplog):
     # The estimate tracks what the table holds: about 2,700 states fill 1 MiB.
     assert peaks[2**16] < 2**17
     assert 2**19 < peaks[2**20] < 2**21
+
+
+def test_dropped_engine_frees_its_dfa_without_the_cycle_collector():
+    # DFA rows point at rows, so without help only the cycle collector
+    # frees a dropped engine's table.  Three variables then a constant the
+    # text lacks make about a thousand states, far more rows than the list
+    # free list keeps headers of.
+    rng = random.Random(73)
+    P, T = classify_input("ABCa", "".join(rng.choice(string.ascii_lowercase[1:]) for _ in range(1200)))
+    state_lines = {line for *_, line in kmp._Dfa.state.__code__.co_lines()}
+
+    def table_bytes() -> int:
+        return sum(
+            trace.size for trace in tracemalloc.take_snapshot().traces
+            if trace.traceback[0].filename == kmp.__file__
+            and trace.traceback[0].lineno in state_lines
+        )
+
+    collecting = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        engine = KmpEngine(P, injective=False)
+        engine.find_all(T)
+        held = table_bytes()
+        del engine
+        kept = table_bytes()
+    finally:
+        tracemalloc.stop()
+        if collecting:
+            gc.enable()
+    assert held > 64 * 1024
+    assert kept < held / 10, (held, kept)
 
 
 def test_one_mib_scan_hands_over_and_never_back(caplog):

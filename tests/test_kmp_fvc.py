@@ -12,6 +12,7 @@ from helpers import (
     graph_is_valid,
     image_codes,
     random_pattern_text,
+    read_row,
     representative,
     sub,
 )
@@ -109,9 +110,9 @@ class TestBuildBitmaps:
         bm = build_bitmaps(P, table, chunk_width=8)
         A, B, C = (P.table.variable(c) for c in "ABC")
         a, b = (P.table.constant(c) for c in "ab")
-        assert bit_at(bm.allow_distinct[7][B.id][A.id], 6, 8) == 0
-        assert bit_at(bm.allow_value[7][C.id][a.id], 6, 8) == 1
-        assert bit_at(bm.allow_value[7][C.id][b.id], 6, 8) == 0
+        assert bit_at(read_row(bm, 7, B.id, y=A.id), 6, 8) == 0
+        assert bit_at(read_row(bm, 7, C.id, a.id), 6, 8) == 1
+        assert bit_at(read_row(bm, 7, C.id, b.id), 6, 8) == 0
 
     def test_zero_shift_bits_always_one(self):
         rng = random.Random(33)
@@ -121,9 +122,9 @@ class TestBuildBitmaps:
             for k in range(1, len(P) + 1):
                 assert bit_at(bm.valid[k], 0, 8) == 1
                 for v in range(P.table.num_variables):
-                    for row in bm.allow_value[k][v].values():
-                        assert bit_at(row, 0, 8) == 1
-                    assert bit_at(bm.allow_value_default[k][v], 0, 8) == 1
+                    for c in P.constants:
+                        assert bit_at(read_row(bm, k, v, c.id), 0, 8) == 1
+                    assert bit_at(read_row(bm, k, v), 0, 8) == 1
 
     def test_matches_explicit_graph_randomized(self):
         rng = random.Random(34)
@@ -145,8 +146,8 @@ class TestBuildBitmaps:
                         pinned = valid and kind == "constant"
                         for cid in sigma:
                             expected = int(valid and not (pinned and ident != cid))
-                            assert bit_at(bm.allow_value[k][v][cid], j, width) == expected
-                        assert bit_at(bm.allow_value_default[k][v], j, width) == int(
+                            assert bit_at(read_row(bm, k, v, cid), j, width) == expected
+                        assert bit_at(read_row(bm, k, v), j, width) == int(
                             valid and not pinned
                         )
                         for y in range(nv):
@@ -155,7 +156,7 @@ class TestBuildBitmaps:
                             ties = valid and representative(comp) == ("variable", y)
                             expected_s = int(valid and not ties)
                             assert (
-                                bit_at(bm.allow_distinct[k][v][y], j, width) == expected_s
+                                bit_at(read_row(bm, k, v, y=y), j, width) == expected_s
                             )
 
 

@@ -11,6 +11,7 @@ from helpers import (
     graph_is_injectively_valid,
     image_codes,
     random_pattern_text,
+    read_row,
     sub,
 )
 from vcmatch.core import Substitution
@@ -113,11 +114,11 @@ class TestBuildTBitmaps:
         bm = build_t_bitmaps(P, table, chunk_width=8)
         A, C = (P.table.variable(c).id for c in "AC")
         a, b = (P.table.constant(c).id for c in "ab")
-        assert bit_at(bm.allow_value[7][C][a], 3, 8) == 1
-        assert bit_at(bm.allow_value[7][C][b], 3, 8) == 0
+        assert bit_at(read_row(bm, 7, C, a), 3, 8) == 1
+        assert bit_at(read_row(bm, 7, C, b), 3, 8) == 0
         # dead column at j=6 zeroes every row
         for cid in (a, b):
-            assert bit_at(bm.allow_value[7][A][cid], 6, 8) == 0
+            assert bit_at(read_row(bm, 7, A, cid), 6, 8) == 0
 
     def test_zero_shift_bits_always_one(self):
         rng = random.Random(45)
@@ -127,8 +128,8 @@ class TestBuildTBitmaps:
             for k in range(1, len(P) + 1):
                 assert bit_at(bm.valid[k], 0, 8) == 1
                 for v in range(P.table.num_variables):
-                    for row in bm.allow_value[k][v].values():
-                        assert bit_at(row, 0, 8) == 1
+                    for c in P.constants:
+                        assert bit_at(read_row(bm, k, v, c.id), 0, 8) == 1
 
     def test_matches_explicit_graph_randomized(self):
         rng = random.Random(46)
@@ -155,8 +156,8 @@ class TestBuildTBitmaps:
                             expected = int(
                                 alive and not (consts_v - {cid}) and not clash
                             )
-                            assert bit_at(bm.allow_value[k][v][cid], j, width) == expected
-                        assert bit_at(bm.allow_value_default[k][v], j, width) == int(
+                            assert bit_at(read_row(bm, k, v, cid), j, width) == expected
+                        assert bit_at(read_row(bm, k, v), j, width) == int(
                             alive and not consts_v
                         )
 

@@ -386,7 +386,8 @@ def test_dropped_engine_frees_its_dfa_without_the_cycle_collector():
     # text lacks make about a thousand states, far more rows than the list
     # free list keeps headers of.
     rng = random.Random(73)
-    P, T = classify_input("ABCa", "".join(rng.choice(string.ascii_lowercase[1:]) for _ in range(1200)))
+    text = "".join(rng.choice(string.ascii_lowercase[1:]) for _ in range(1200))
+    P, T = classify_input("ABCa", text)
     state_lines = {line for *_, line in kmp._Dfa.state.__code__.co_lines()}
 
     def table_bytes() -> int:

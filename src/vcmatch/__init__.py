@@ -7,18 +7,7 @@ cross-checking backends are provided: a brute-force scan, a cross-
 correlation method, and a single-pass scanner with bit-packed shift tables.
 """
 
-from .core import (
-    InvalidInputError,
-    PatternString,
-    Substitution,
-    Symbol,
-    SymbolTable,
-    TextString,
-    UndefinedVariableError,
-    apply_substitution,
-    classify_input,
-    extend_mapping,
-)
+from .core import InvalidInputError, PatternString, Substitution, SymbolTable, TextString, classify_input
 from .kmp import KmpEngine, ShiftTable
 from .kmp_fvc import BitmapSet, FvcKmp, add_condition, build_bitmaps, build_table, match_fvc
 from .kmp_pvc import PvcKmp, TBitmapSet, build_injective_table, build_t_bitmaps, match_pvc

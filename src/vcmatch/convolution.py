@@ -7,11 +7,13 @@ values must additionally be pairwise distinct.  :func:`conv_match_all`
 decides this decomposition on one of two paths, picked per search by
 estimated cost:
 
-* the *direct* path makes one slice compare over the text per pattern
-  position: a constant position against its constant, a repeated variable
-  against the text under the variable's first occurrence, and under pvc
-  one compare per pair of first occurrences.  It is exact for any ids and
-  wins for all but long patterns over few windows;
+* the *direct* path works on slices of the text: one compare per distinct
+  constant finds where the text holds it, and each constant position ANDs
+  that hit mask in; a repeated variable compares its slice with the text
+  under the variable's first occurrence and ANDs the result in, a first
+  occurrence costs nothing, and under pvc each pair of first occurrences
+  costs one more compare and AND.  It compares ids, so it is exact for
+  any ids, and it wins for all but long patterns over few windows;
 * the *FFT* path reduces both checks to sliding cross-correlations: one
   0/1 indicator correlation per distinct pattern constant, and per variable
   the squared-sum identity ``k * sum(a_i^2) == (sum(a_i))^2  iff  all a_i
@@ -33,7 +35,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import PatternString, Symbol, TextString, is_injective_mode
+from .core import PatternString, TextString, is_injective_mode
 from .naive import MatchReport
 
 logger = logging.getLogger(__name__)
@@ -48,25 +50,29 @@ FFT_EPS = 2.0**-53
 FFT_ERROR_PER_LEVEL = 16.0
 FFT_ERROR_BASE = 4.0
 
-# Path costs in nanoseconds, for _estimated_costs.  Direct: per compare, a
-# call cost plus a cost per window.  FFT: a call cost plus a cost per row
-# (one per distinct constant, two per variable), window-plus-m and transform
-# level.  Fitted by least squares on relative error to the best of 4x30
-# timings of both paths at m = 1..2048 and 16..16,384 windows, fvc and pvc,
-# 1-6 variables and 1-5 constants (2-vCPU x86 host, Python 3.11, numpy
-# 2.4); picking by the fit cost 1.4% more than always picking the faster
-# path.  Microseconds, direct / FFT, pvc patterns over 3 variables and 3
+# Path costs in nanoseconds, for _estimated_costs.  Direct: per slice
+# operation of _direct_ok (a compare or an AND), a call cost plus a cost per
+# window.  FFT: a call cost plus a cost per row (one per distinct constant,
+# two per variable), window-plus-m and transform level.  The direct pair was
+# fitted by least squares on relative error to the fastest of 27-120 timed
+# calls of both paths over six passes, at m = 1..2048 and 16..16,384
+# windows, fvc and pvc, 1-6 variables and 1-5 constants, on periodic texts
+# where no window dies early (2-vCPU x86 host, Python 3.11, numpy 2.4).
+# For m >= 64 the 10th-90th percentiles of estimate over time are 0.99-1.20
+# (0.93-1.29 when every position counted as one compare), and picking by
+# the fit cost 0.9% more than always picking the faster path.
+# Microseconds, direct / FFT, pvc patterns over 3 variables and 3
 # constants:
 #
 #       m | 16 windows | 1,024 windows | 16,384 windows
-#      16 |    18  168 |       21  324 |        30 3042
-#      64 |    60  197 |       70  346 |       126 2678
-#     256 |   229  266 |      260  388 |       437 2762
-#     512 |   459  350 |      533  478 |      1307 2797
-#    1024 |   920  493 |      986  560 |      1913 3569
-#    2048 |  1759  874 |     1949  899 |      3455 4170
-DIRECT_COMPARE_NS = 950.0
-DIRECT_WINDOW_NS = 0.054
+#      16 |    19  159 |       22  308 |        36 2523
+#      64 |    61  186 |       74  344 |       126 2672
+#     256 |   231  244 |      264  362 |       469 2772
+#     512 |   461  313 |      542  419 |       894 2594
+#    1024 |   885  453 |     1094  534 |      1902 3653
+#    2048 |  1743  871 |     2186  939 |      3627 3834
+DIRECT_COMPARE_NS = 650.0
+DIRECT_WINDOW_NS = 0.040
 FFT_CALL_NS = 106_000.0
 FFT_ROW_NS = 2.5
 # Windows per FFT text slice.  On a 1 MiB text (m = 32..4,096, pvc, 3
@@ -178,7 +184,7 @@ def _constant_mismatch_counts(pattern: PatternString, tcodes: np.ndarray) -> np.
     if not constants:
         return np.zeros(n_out, dtype=np.int64)
     pcodes = np.asarray(pattern.codes, dtype=np.int64)
-    cids = np.asarray([c.id for c in constants], dtype=np.int64)
+    cids = np.asarray(constants, dtype=np.int64)
     pattern_is = (pcodes[None, :] == cids[:, None]).astype(np.float64)
     text_not = (tcodes[None, :] != cids[:, None]).astype(np.float64)
     return _fft_correlate(text_not, pattern_is).sum(axis=0)
@@ -197,7 +203,7 @@ def wildcard_mask(pattern: PatternString, text: TextString) -> np.ndarray:
 
 
 def _variable_tables(pattern: PatternString, tcodes: np.ndarray):
-    """Per pattern variable, in registration order: where all text symbols
+    """Per pattern variable, by ascending id: where all text symbols
     under its occurrences agree, plus their window sums and counts.
 
     The text is first re-encoded as dense ids 1..|distinct ids|.  Raises
@@ -205,8 +211,7 @@ def _variable_tables(pattern: PatternString, tcodes: np.ndarray):
     guard; the dense text is never larger, so it passes whenever its
     squares do.
     """
-    variables = list(pattern.variables)
-    vcodes = np.asarray([v.code for v in variables], dtype=np.int64)
+    vcodes = -1 - np.asarray(pattern.variables, dtype=np.int64)
     rows = (np.asarray(pattern.codes, dtype=np.int64)[None, :] == vcodes[:, None]).astype(np.float64)
     counts = rows.sum(axis=1).astype(np.int64)[:, None]
     dense = np.unique(tcodes, return_inverse=True)[1].astype(np.int64) + 1
@@ -214,29 +219,30 @@ def _variable_tables(pattern: PatternString, tcodes: np.ndarray):
     _check_value_bound(int(squares.max()), 1, len(pattern))
     sums, square_sums = _fft_correlate(dense[None, :], rows), _fft_correlate(squares[None, :], rows)
     # Squared-sum identity: k * sum(a_i^2) == (sum a_i)^2 iff all a_i equal.
-    return variables, counts * square_sums == sums * sums, sums, counts
+    return counts * square_sums == sums * sums, sums, counts
 
 
-def variable_consistent(pattern: PatternString, text: TextString, x: Symbol) -> np.ndarray:
-    """Boolean mask over windows: True iff all text symbols under ``x`` agree.
+def variable_consistent(pattern: PatternString, text: TextString, x: int) -> np.ndarray:
+    """Boolean mask over windows: True iff all text symbols under the
+    variable with id ``x`` agree.
 
     Uses the squared-sum identity on two correlations against the 0/1
     occurrence row of ``x``; raises :class:`OverflowRiskError` when the
     text has too many distinct symbols for exact rounding.
     """
-    if x not in pattern.occurrence_counts:
-        raise ValueError(f"{x} does not occur in the pattern")
+    if x not in pattern.variables:
+        raise ValueError(f"variable {x} does not occur in the pattern")
     if len(pattern) > len(text):
         raise ValueError("pattern longer than text")
-    variables, consistent, _, _ = _variable_tables(pattern, _text_array(text))
-    return consistent[variables.index(x)]
+    consistent = _variable_tables(pattern, _text_array(text))[0]
+    return consistent[pattern.variables.index(x)]
 
 
-def _estimated_costs(m: int, n_out: int, pairs: int, rows: int) -> tuple[float, float]:
+def _estimated_costs(m: int, n_out: int, operations: int, rows: int) -> tuple[float, float]:
     """Estimated nanoseconds of the direct and the FFT path for a pattern of
-    length ``m`` over ``n_out`` windows, with ``pairs`` variable pairs to
-    tell apart (0 under fvc) and ``rows`` correlation rows."""
-    direct = (m + pairs) * (DIRECT_COMPARE_NS + DIRECT_WINDOW_NS * n_out)
+    length ``m`` over ``n_out`` windows, with ``operations`` slice
+    operations on the direct path and ``rows`` correlation rows."""
+    direct = operations * (DIRECT_COMPARE_NS + DIRECT_WINDOW_NS * n_out)
     levels = _next_pow2(2 * m - 1).bit_length()
     fft = FFT_CALL_NS + FFT_ROW_NS * rows * (n_out + m) * levels
     return direct, fft
@@ -271,14 +277,14 @@ def _fft_ok(pattern: PatternString, tcodes: np.ndarray, injective: bool) -> np.n
     """Per window, the decomposition through blocked FFT correlations."""
     ok = _constant_mismatch_counts(pattern, tcodes) == 0
     if pattern.variables:
-        variables, consistent, sums, counts = _variable_tables(pattern, tcodes)
+        consistent, sums, counts = _variable_tables(pattern, tcodes)
         ok &= consistent.all(axis=0)
         if injective:
             # Window values are exact on consistent windows only, which is
             # all that survives the mask above.
             values = sums // counts
-            for i, j in itertools.combinations(range(len(variables)), 2):
-                ok &= values[i] != values[j]
+            for a, b in itertools.combinations(values, 2):
+                ok &= a != b
     return ok
 
 
@@ -295,10 +301,15 @@ def conv_match_all(pattern: PatternString, text: TextString, mode: str = "fvc") 
     if n_out <= 0:
         return MatchReport([])
     tcodes = _text_array(text)
-    num_variables = len(pattern.variables)
+    num_variables, num_constants = len(pattern.variables), len(pattern.constants)
     pairs = math.comb(num_variables, 2) if injective else 0
-    # Distinct codes count each constant and each variable once.
-    direct, fft = _estimated_costs(m, n_out, pairs, len(set(pattern.codes)) + num_variables)
+    variable_positions = sum(1 for code in pattern.codes if code < 0)
+    # _direct_ok ANDs at each constant position, compares and ANDs at each
+    # repeated variable position and pair, and compares the text with each
+    # distinct constant; a first occurrence costs nothing.
+    repeats = variable_positions - num_variables
+    operations = m - variable_positions + 2 * (repeats + pairs) + num_constants
+    direct, fft = _estimated_costs(m, n_out, operations, num_constants + 2 * num_variables)
     path = "direct" if direct <= fft else "fft"
     if num_variables:
         try:  # dense ids never exceed the table's constant count

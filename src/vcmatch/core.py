@@ -1,4 +1,4 @@
-"""Symbol model, string types, and substitutions shared by every backend.
+"""Integer symbol codes, registries, strings and substitutions for every backend.
 
 A pattern is a sequence of *constants* and *variables*; a text contains
 constants only.  A substitution maps variables to constants; applying it to
@@ -12,15 +12,15 @@ text window.  Two matching modes exist:
 Constants and variables live in two disjoint, append-only registries that
 assign dense integer ids in first-appearance order.  All iteration orders
 downstream follow registration order, which keeps outputs deterministic.
-Patterns and texts store flat integer codes; :class:`Symbol` objects are
-derived from them for display and tests only.
+Patterns and texts store flat integer codes, the only representation of a
+symbol: a constant's id (>= 0), or ``-1 - id`` for a variable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Literal, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional
 
 ASCII_UPPERCASE = frozenset(range(ord("A"), ord("Z") + 1))
 
@@ -31,10 +31,6 @@ class InvalidInputError(ValueError):
     """Raw input cannot be turned into a valid pattern or text."""
 
 
-class UndefinedVariableError(KeyError):
-    """A substitution was applied to a variable it does not bind."""
-
-
 def is_injective_mode(mode: str) -> bool:
     """Map a mode name to the injectivity flag, rejecting unknown modes."""
     if mode == "fvc":
@@ -42,31 +38,6 @@ def is_injective_mode(mode: str) -> bool:
     if mode == "pvc":
         return True
     raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-
-
-@dataclass(frozen=True)
-class Symbol:
-    """A single constant or variable, identified by a dense registry id."""
-
-    kind: Literal["constant", "variable"]
-    id: int
-
-    @classmethod
-    def constant(cls, ident: int) -> "Symbol":
-        return cls("constant", ident)
-
-    @classmethod
-    def variable(cls, ident: int) -> "Symbol":
-        return cls("variable", ident)
-
-    @property
-    def is_variable(self) -> bool:
-        return self.kind == "variable"
-
-    @property
-    def code(self) -> int:
-        """Integer encoding: constants are >= 0, variables are negative."""
-        return self.id if self.kind == "constant" else -1 - self.id
 
 
 class SymbolTable:
@@ -132,29 +103,20 @@ class SymbolTable:
             self._translation = (bytes(table), bytes(known))
         return self._translation
 
-    def constant(self, char: Union[str, int]) -> Symbol:
-        """Look up an already-registered constant by raw byte or character."""
-        byte = ord(char) if isinstance(char, str) else char
-        return Symbol.constant(self._constant_ids[byte])
-
-    def variable(self, char: Union[str, int]) -> Symbol:
-        byte = ord(char) if isinstance(char, str) else char
-        return Symbol.variable(self._variable_ids[byte])
-
-    def byte_of(self, symbol: Symbol) -> int:
-        bank = self.variable_bytes if symbol.is_variable else self.constant_bytes
-        return bank[symbol.id]
-
-    def decode(self, symbols: Iterable[Symbol]) -> str:
-        """Render symbols back to their raw characters (for display only)."""
-        return "".join(chr(self.byte_of(s)) for s in symbols)
-
 
 def normalize_charset(variable_charset=None) -> frozenset[int]:
-    """Canonicalize a variable charset given as str, bytes, or ints."""
+    """Canonicalize a variable charset given as str, bytes, or ints.
+
+    A str charset must be ASCII: a wider character is several bytes, and
+    each would become a variable of its own.
+    """
     if variable_charset is None:
         return ASCII_UPPERCASE
     if isinstance(variable_charset, str):
+        if not variable_charset.isascii():
+            raise InvalidInputError(
+                f"variable charset {variable_charset!r} is not ASCII; pass its bytes instead"
+            )
         raw: Iterable[int] = variable_charset.encode()
     else:
         raw = variable_charset
@@ -179,40 +141,20 @@ class PatternString:
             raise InvalidInputError("pattern must be non-empty")
         for code in (min(self.codes), max(self.codes)):
             if not -self.table.num_variables <= code < self.table.num_constants:
-                raise InvalidInputError(f"symbol id out of registry range: {_symbol(code)}")
+                raise InvalidInputError(f"code {code} out of registry range")
 
     def __len__(self) -> int:
         return len(self.codes)
 
     @cached_property
-    def symbols(self) -> tuple[Symbol, ...]:
-        """Per-position symbols, for display and tests."""
-        return tuple(map(_symbol, self.codes))
+    def variables(self) -> tuple[int, ...]:
+        """Ids of the distinct variables in the pattern, ascending."""
+        return tuple(sorted({-1 - c for c in self.codes if c < 0}))
 
     @cached_property
-    def variables(self) -> tuple[Symbol, ...]:
-        """Distinct variables occurring in the pattern, in registration order."""
-        ids = sorted({-1 - c for c in self.codes if c < 0})
-        return tuple(Symbol.variable(i) for i in ids)
-
-    @cached_property
-    def constants(self) -> tuple[Symbol, ...]:
-        """Distinct constants occurring in the pattern, in registration order."""
-        ids = sorted({c for c in self.codes if c >= 0})
-        return tuple(Symbol.constant(i) for i in ids)
-
-    @cached_property
-    def occurrence_counts(self) -> dict[Symbol, int]:
-        return {sym: len(posns) for sym, posns in self.occurrence_positions.items()}
-
-    @cached_property
-    def occurrence_positions(self) -> dict[Symbol, tuple[int, ...]]:
-        """0-based positions of each variable, ascending."""
-        where: dict[int, list[int]] = {}
-        for pos, code in enumerate(self.codes):
-            if code < 0:
-                where.setdefault(code, []).append(pos)
-        return {_symbol(code): tuple(posns) for code, posns in where.items()}
+    def constants(self) -> tuple[int, ...]:
+        """Ids of the distinct constants in the pattern, ascending."""
+        return tuple(sorted({c for c in self.codes if c >= 0}))
 
     @cached_property
     def variables_by_prefix(self) -> tuple[tuple[int, ...], ...]:
@@ -245,7 +187,7 @@ class TextString:
         if stray:
             if min(stray) < 0:
                 raise InvalidInputError("text must contain constants only")
-            raise InvalidInputError(f"symbol id out of registry range: {_symbol(max(stray))}")
+            raise InvalidInputError(f"code {max(stray)} out of registry range")
 
     @classmethod
     def _encoded(cls, codes: tuple[int, ...], table: SymbolTable) -> "TextString":
@@ -258,15 +200,6 @@ class TextString:
 
     def __len__(self) -> int:
         return len(self.codes)
-
-    @cached_property
-    def symbols(self) -> tuple[Symbol, ...]:
-        """Per-position symbols, for display and tests."""
-        return tuple(map(Symbol.constant, self.codes))
-
-
-def _symbol(code: int) -> Symbol:
-    return Symbol.constant(code) if code >= 0 else Symbol.variable(-1 - code)
 
 
 class Substitution:
@@ -369,35 +302,3 @@ def _as_bytes(raw) -> bytes:
     if isinstance(raw, str):
         return raw.encode()
     raise InvalidInputError(f"expected str or bytes, got {type(raw).__name__}")
-
-
-def apply_substitution(pi: Substitution, pattern) -> tuple[Symbol, ...]:
-    """Replace each variable by its image; constants pass through unchanged.
-
-    The result always has the same length as the input.  Raises
-    :class:`UndefinedVariableError` if some variable is unbound.
-    """
-    symbols = getattr(pattern, "symbols", pattern)
-    out = []
-    for sym in symbols:
-        if sym.is_variable:
-            const_id = pi.get(sym.id)
-            if const_id is None:
-                raise UndefinedVariableError(sym)
-            out.append(Symbol.constant(const_id))
-        else:
-            out.append(sym)
-    return tuple(out)
-
-
-def extend_mapping(pi: Substitution, x: Symbol, c: Symbol, injective: bool = False) -> bool:
-    """Try to extend ``pi`` with x -> c; return False on conflict.
-
-    Re-binding a variable to its current image is a no-op and succeeds; in
-    injective mode a constant already used by another variable is refused.
-    """
-    if not x.is_variable:
-        raise ValueError(f"{x} is not a variable")
-    if c.is_variable:
-        raise ValueError(f"{c} is not a constant")
-    return pi.bind(x.id, c.id, injective=injective)

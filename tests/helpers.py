@@ -17,11 +17,19 @@ def classify(pattern, text, variables=None):
     return classify_input(pattern, text, variables)
 
 
+def var_id(table, char: str) -> int:
+    """Registry id of the variable written as ``char``."""
+    return table.variable_bytes.index(ord(char))
+
+
+def const_id(table, char: str) -> int:
+    """Registry id of the constant written as ``char``."""
+    return table.constant_bytes.index(ord(char))
+
+
 def sub(table, mapping: dict[str, str]) -> Substitution:
     """Build a substitution from character pairs via the symbol table."""
-    return Substitution(
-        {table.variable(k).id: table.constant(v).id for k, v in mapping.items()}
-    )
+    return Substitution({var_id(table, k): const_id(table, v) for k, v in mapping.items()})
 
 
 def char_map(table, pi: Substitution) -> dict[str, str]:
@@ -58,18 +66,19 @@ def exact_positions(pattern: str, text: str) -> list[int]:
 # tagged ("constant", id), ("variable", id), ("prefix", id).
 
 
+def _node(code: int, variable_kind: str):
+    return (variable_kind, -1 - code) if code < 0 else ("constant", code)
+
+
 def graph_nodes_edges(pattern: PatternString, k: int, j: int):
-    symbols = pattern.symbols
-    nodes = {("constant", c.id) for c in pattern.constants}
+    codes = pattern.codes
+    nodes = {("constant", c) for c in pattern.constants}
     for idx in range(k - j, k):
-        s = symbols[idx]
-        nodes.add(("variable", s.id) if s.is_variable else ("constant", s.id))
+        nodes.add(_node(codes[idx], "variable"))
     edges = []
     for i in range(1, j + 1):
-        w = symbols[k - j + i - 1]
-        p = symbols[i - 1]
-        wnode = ("variable", w.id) if w.is_variable else ("constant", w.id)
-        pnode = ("prefix", p.id) if p.is_variable else ("constant", p.id)
+        wnode = _node(codes[k - j + i - 1], "variable")
+        pnode = _node(codes[i - 1], "prefix")
         nodes.add(pnode)
         if wnode != pnode:
             edges.append((wnode, pnode))

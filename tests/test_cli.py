@@ -109,6 +109,15 @@ class TestFind:
         assert code == 0
         assert capsys.readouterr().out == "1\n3\n"
 
+    def test_non_ascii_variables_flag_exit_2(self, capsys):
+        # "é" is two UTF-8 bytes; each must not become a variable of its own.
+        code = main(["find", "--pattern", "éb", "--variables", "é", "--text-inline", "xyb",
+                     "--json", "--witness"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bytes" in captured.err
+
     def test_unreadable_file_exit_2(self, capsys, tmp_path):
         code = main(["find", "--pattern", "A", "--text-file", str(tmp_path / "missing"),
                      "--mode", "fvc"])

@@ -2,20 +2,16 @@ import random
 
 import pytest
 
-from helpers import classify, sub
+from helpers import classify, const_id, sub, var_id
 from vcmatch.core import (
     ASCII_UPPERCASE,
     InvalidInputError,
     PatternString,
     Substitution,
-    Symbol,
     SymbolTable,
     TextString,
-    UndefinedVariableError,
-    apply_substitution,
     encode_pattern,
     encode_text,
-    extend_mapping,
     normalize_charset,
 )
 from vcmatch.matchers import ALGORITHMS, make_matcher
@@ -24,10 +20,10 @@ from vcmatch.matchers import ALGORITHMS, make_matcher
 class TestClassifyInput:
     def test_variables_and_constants_split(self):
         P, T = classify("ABAb", "ababbbb")
-        assert [s.kind for s in P.symbols] == ["variable", "variable", "variable", "constant"]
-        assert P.table.decode(P.symbols) == "ABAb"
-        assert {P.table.byte_of(v) for v in P.variables} == {ord("A"), ord("B")}
-        assert {P.table.byte_of(c) for c in P.constants} == {ord("b")}
+        assert P.codes == (-1, -2, -1, 0)
+        assert P.variables == (0, 1) and P.constants == (0,)
+        assert P.table.variable_bytes == [ord("A"), ord("B")]
+        assert P.table.constant_bytes[:1] == [ord("b")]
         assert len(T) == 7
 
     def test_constant_only_pattern(self):
@@ -38,8 +34,8 @@ class TestClassifyInput:
     def test_remark_pattern_shapes(self):
         P, T = classify("AABaaCbC", "bbaaaabbb")
         assert len(P) == 8 and len(T) == 9
-        assert {P.table.byte_of(v) for v in P.variables} == {ord("A"), ord("B"), ord("C")}
-        assert {P.table.byte_of(c) for c in P.constants} == {ord("a"), ord("b")}
+        assert {P.table.variable_bytes[v] for v in P.variables} == {ord("A"), ord("B"), ord("C")}
+        assert {P.table.constant_bytes[c] for c in P.constants} == {ord("a"), ord("b")}
 
     def test_empty_pattern_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -52,25 +48,35 @@ class TestClassifyInput:
 
     def test_text_bytes_in_variable_charset_stay_constants(self):
         P, T = classify("Ab", "AbA")
-        assert all(not s.is_variable for s in T.symbols)
+        assert min(T.codes) >= 0
 
     def test_custom_charset(self):
         P, _ = classify("xay", "aa", variables="xy")
-        assert [s.kind for s in P.symbols] == ["variable", "constant", "variable"]
+        assert [code < 0 for code in P.codes] == [True, False, True]
 
     def test_charset_rejects_non_bytes(self):
         with pytest.raises(InvalidInputError):
             normalize_charset([300])
 
+    def test_charset_str_must_be_ascii(self):
+        # A str charset is read per character: "é" is two UTF-8 bytes, and
+        # each would otherwise become a variable of its own.
+        with pytest.raises(InvalidInputError, match="bytes"):
+            normalize_charset("é")
+        with pytest.raises(InvalidInputError):
+            classify("éb", "xyb", variables="Aé")
+        assert normalize_charset("é".encode()) == frozenset(b"\xc3\xa9")
+        assert normalize_charset([0xE9]) == frozenset([0xE9])
+        assert normalize_charset("xy") == frozenset(b"xy")
+
     def test_occurrence_data(self):
         P, _ = classify("AABaaCbC", "b")
-        A, C = P.table.variable("A"), P.table.variable("C")
-        assert P.occurrence_counts[A] == 2
-        assert P.occurrence_positions[A] == (0, 1)
-        assert P.occurrence_positions[C] == (5, 7)
-        total = sum(P.occurrence_counts.values())
-        n_const = sum(1 for s in P.symbols if not s.is_variable)
-        assert total + n_const == len(P)
+        A, B, C = (var_id(P.table, c) for c in "ABC")
+        assert P.variables == (A, B, C)
+        assert P.constants == tuple(const_id(P.table, c) for c in "ab")
+        assert P.variables_by_prefix[1] == P.variables_by_prefix[2] == (A,)
+        assert P.variables_by_prefix[5] == (A, B)
+        assert P.variables_by_prefix[8] == (A, B, C)
 
 
 def per_byte_encoding(raw_pattern: bytes, raw_texts, charset=ASCII_UPPERCASE):
@@ -108,7 +114,7 @@ class TestEncoder:
         assert_same_encoding(b"AxBy", [b"ABAxzyBB", b"QQxA"])
         P, T = classify("AxBy", "ABAxzyBB")
         assert min(T.codes) >= 0
-        assert T.table.decode(T.symbols) == "ABAxzyBB"
+        assert bytes(T.table.constant_bytes[c] for c in T.codes) == b"ABAxzyBB"
 
     def test_empty_text(self):
         assert_same_encoding(b"Ab", [b""])
@@ -167,95 +173,65 @@ class TestEncoder:
 
     def test_hand_built_codes_are_range_checked(self):
         P, T = classify("Ab", "ab")
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="code -2 "):
             PatternString((-2, 0), P.table)
+        with pytest.raises(InvalidInputError, match="code 2 "):
+            PatternString((-1, 2), P.table)
         with pytest.raises(InvalidInputError):
             PatternString((), P.table)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="code 2 "):
             TextString((0, 2), T.table)
         with pytest.raises(InvalidInputError):
             TextString((0, -1), T.table)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="code 300 "):
             TextString((300,), T.table)
 
     @pytest.mark.parametrize("algo", ALGORITHMS)
     @pytest.mark.parametrize("mode", ["fvc", "pvc"])
     def test_find_leaves_symbols_unmaterialised(self, algo, mode):
+        # Searches read the flat codes; no per-position cache is built.
         matcher = make_matcher(algo, mode=mode).fit("ABAb")
         text = matcher._encode_text("ababbbbab")
         report = matcher.find(text, with_witnesses=True)
         assert report.positions
-        assert "symbols" not in text.__dict__
-        assert "symbols" not in matcher.pattern_.__dict__
-
-
-class TestApplySubstitution:
-    def test_example_abab(self):
-        P, _ = classify("ABAb", "ababbbb")
-        pi = sub(P.table, {"A": "a", "B": "b"})
-        assert P.table.decode(apply_substitution(pi, P)) == "abab"
-
-    def test_identity_on_constants(self):
-        P, _ = classify("ab", "ab")
-        assert P.table.decode(apply_substitution(Substitution(), P)) == "ab"
-
-    def test_non_injective_image(self):
-        P, T = classify("ABAb", "ababbbb")
-        pi = sub(P.table, {"A": "b", "B": "b"})
-        assert P.table.decode(apply_substitution(pi, P)) == "bbbb"
-
-    def test_unbound_variable_raises(self):
-        P, _ = classify("ABAb", "ababbbb")
-        with pytest.raises(UndefinedVariableError):
-            apply_substitution(sub(P.table, {"A": "a"}), P)
-
-    def test_length_preserving_and_constant_fixed_randomized(self):
-        rng = random.Random(42)
-        for _ in range(200):
-            m = rng.randint(1, 12)
-            pattern = "".join(rng.choice("ABCabc") for _ in range(m))
-            P, _ = classify(pattern, "abc")
-            pi = Substitution({v.id: rng.randrange(3) for v in P.variables})
-            out = apply_substitution(pi, P)
-            assert len(out) == len(P)
-            for before, after in zip(P.symbols, out):
-                assert not after.is_variable
-                if not before.is_variable:
-                    assert after == before
+        assert set(text.__dict__) == {"codes", "table"}
+        assert set(matcher.pattern_.__dict__) <= {
+            "codes", "table", "variables", "constants", "variables_by_prefix"
+        }
 
 
 class TestExtendMapping:
+    """``Substitution.bind`` extends a mapping by one variable -> constant pair."""
+
     def test_empty_map_extension(self):
         P, _ = classify("A", "b")
         pi = Substitution()
-        assert extend_mapping(pi, P.table.variable("A"), P.table.constant("b"), injective=True)
+        assert pi.bind(var_id(P.table, "A"), const_id(P.table, "b"), injective=True)
         assert pi.as_char_map(P.table) == {"A": "b"}
 
     def test_injective_conflict(self):
         P, _ = classify("AB", "b")
         pi = sub(P.table, {"A": "b"})
-        assert not extend_mapping(pi, P.table.variable("B"), P.table.constant("b"), injective=True)
+        assert not pi.bind(var_id(P.table, "B"), const_id(P.table, "b"), injective=True)
         assert pi.as_char_map(P.table) == {"A": "b"}  # unchanged
+        assert pi.inverse == {const_id(P.table, "b"): {var_id(P.table, "A")}}
 
     def test_non_injective_shares_image(self):
         P, _ = classify("AB", "b")
         pi = sub(P.table, {"A": "b"})
-        assert extend_mapping(pi, P.table.variable("B"), P.table.constant("b"))
+        assert pi.bind(var_id(P.table, "B"), const_id(P.table, "b"))
         assert pi.as_char_map(P.table) == {"A": "b", "B": "b"}
+        assert not pi.is_injective
 
     def test_rebinding_idempotent(self):
-        P, _ = classify("A", "b")
+        P, _ = classify("Ab", "a")
         pi = Substitution()
-        x, c = P.table.variable("A"), P.table.constant("b")
+        x, b = var_id(P.table, "A"), const_id(P.table, "b")
         for _ in range(3):
-            assert extend_mapping(pi, x, c, injective=True)
+            assert pi.bind(x, b, injective=True)
         assert len(pi) == 1
-
-    def test_kind_validation(self):
-        with pytest.raises(ValueError):
-            extend_mapping(Substitution(), Symbol.constant(0), Symbol.constant(1))
-        with pytest.raises(ValueError):
-            extend_mapping(Substitution(), Symbol.variable(0), Symbol.variable(1))
+        assert not pi.bind(x, const_id(P.table, "a"))
+        assert pi.as_char_map(P.table) == {"A": "b"}
 
 
 class TestSubstitutionInvariants:

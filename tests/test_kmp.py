@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from helpers import random_pattern_text
+from helpers import const_id, random_pattern_text
 from vcmatch import kmp
 from vcmatch.bench import make_inputs
 from vcmatch.core import Substitution, classify_input, encode_pattern
@@ -67,7 +67,7 @@ def draw_bindings(rng, P, k, injective):
     """Bindings of the prefix variables, mostly to pattern constants (so deep
     shifts are accepted), sometimes to a constant no pattern position holds."""
     prefix = P.variables_by_prefix[k]
-    consts = [c.id for c in P.constants]
+    consts = list(P.constants)
     fresh = itertools.count(P.table.num_constants)
     if injective:
         values = rng.sample(consts, min(len(consts), len(prefix)))
@@ -224,7 +224,7 @@ def test_cached_scans_equal_the_oracle(cap, mode, chunk_width, monkeypatch, capl
 def test_failure_cache_hands_out_copies():
     P, _ = classify_input("ABAB", "ab")
     engine = KmpEngine(P, injective=False)
-    a, b = P.table.constant("a").id, P.table.constant("b").id
+    a, b = const_id(P.table, "a"), const_id(P.table, "b")
     expected = (3, {0: b, 1: a})
     for _ in range(3):  # a miss, then hits; the scan writes into what it gets
         j, succeeding = engine._failure_ids(4, {0: a, 1: b})

@@ -7,6 +7,7 @@ from helpers import (
     border_array,
     classify,
     component_of,
+    const_id,
     expected_failure,
     graph_components,
     graph_is_valid,
@@ -15,6 +16,7 @@ from helpers import (
     read_row,
     representative,
     sub,
+    var_id,
 )
 from vcmatch.core import Substitution
 from vcmatch.kmp_fvc import FvcKmp, add_condition, build_bitmaps, build_table, match_fvc
@@ -53,9 +55,7 @@ class TestAddCondition:
         P, _ = classify("AABaaCbC", "b")
         table = build_table(P)
         entry = table.entry(7, 6)
-        a_id = P.table.constant("a").id
-        C = P.table.variable("C")
-        assert entry.reps[C.id] == a_id
+        assert entry.reps[var_id(P.table, "C")] == const_id(P.table, "a")
 
 
 class TestBuildTable:
@@ -108,11 +108,11 @@ class TestBuildBitmaps:
         P, _ = classify("AABaaCbC", "b")
         table = build_table(P)
         bm = build_bitmaps(P, table, chunk_width=8)
-        A, B, C = (P.table.variable(c) for c in "ABC")
-        a, b = (P.table.constant(c) for c in "ab")
-        assert bit_at(read_row(bm, 7, B.id, y=A.id), 6, 8) == 0
-        assert bit_at(read_row(bm, 7, C.id, a.id), 6, 8) == 1
-        assert bit_at(read_row(bm, 7, C.id, b.id), 6, 8) == 0
+        A, B, C = (var_id(P.table, c) for c in "ABC")
+        a, b = (const_id(P.table, c) for c in "ab")
+        assert bit_at(read_row(bm, 7, B, y=A), 6, 8) == 0
+        assert bit_at(read_row(bm, 7, C, a), 6, 8) == 1
+        assert bit_at(read_row(bm, 7, C, b), 6, 8) == 0
 
     def test_zero_shift_bits_always_one(self):
         rng = random.Random(33)
@@ -123,7 +123,7 @@ class TestBuildBitmaps:
                 assert bit_at(bm.valid[k], 0, 8) == 1
                 for v in range(P.table.num_variables):
                     for c in P.constants:
-                        assert bit_at(read_row(bm, k, v, c.id), 0, 8) == 1
+                        assert bit_at(read_row(bm, k, v, c), 0, 8) == 1
                     assert bit_at(read_row(bm, k, v), 0, 8) == 1
 
     def test_matches_explicit_graph_randomized(self):
@@ -133,7 +133,6 @@ class TestBuildBitmaps:
             table = build_table(P)
             width = rng.choice([8, 16, 64])
             bm = build_bitmaps(P, table, chunk_width=width)
-            sigma = [c.id for c in P.constants]
             nv = P.table.num_variables
             for k in range(1, len(P) + 1):
                 for j in range(k):
@@ -144,7 +143,7 @@ class TestBuildBitmaps:
                         comp = component_of(comps, ("variable", v))
                         kind, ident = representative(comp) if valid else (None, None)
                         pinned = valid and kind == "constant"
-                        for cid in sigma:
+                        for cid in P.constants:
                             expected = int(valid and not (pinned and ident != cid))
                             assert bit_at(read_row(bm, k, v, cid), j, width) == expected
                         assert bit_at(read_row(bm, k, v), j, width) == int(

@@ -6,6 +6,7 @@ from helpers import (
     bit_at,
     classify,
     component_of,
+    const_id,
     expected_failure,
     graph_components,
     graph_is_injectively_valid,
@@ -13,6 +14,7 @@ from helpers import (
     random_pattern_text,
     read_row,
     sub,
+    var_id,
 )
 from vcmatch.core import Substitution
 from vcmatch.kmp_fvc import build_table
@@ -37,8 +39,8 @@ class TestBuildInjectiveTable:
         assert not table.is_valid(7, 6)  # two window variables share a class
         assert table.is_valid(7, 3)
         entry = table.entry(7, 3)
-        a, b = (P.table.constant(c).id for c in "ab")
-        A, B, C = (P.table.variable(c).id for c in "ABC")
+        a, b = (const_id(P.table, c) for c in "ab")
+        A, B, C = (var_id(P.table, c) for c in "ABC")
         # classes {a, prefix-A, C} and {b, prefix-B}
         assert entry.connected(("variable", C)) == {("constant", a), ("prefix", A)}
         assert entry.connected(("constant", b)) == {("prefix", B)}
@@ -112,8 +114,8 @@ class TestBuildTBitmaps:
         P, _ = classify("AABaaCbC", "b")
         table = build_injective_table(P)
         bm = build_t_bitmaps(P, table, chunk_width=8)
-        A, C = (P.table.variable(c).id for c in "AC")
-        a, b = (P.table.constant(c).id for c in "ab")
+        A, C = (var_id(P.table, c) for c in "AC")
+        a, b = (const_id(P.table, c) for c in "ab")
         assert bit_at(read_row(bm, 7, C, a), 3, 8) == 1
         assert bit_at(read_row(bm, 7, C, b), 3, 8) == 0
         # dead column at j=6 zeroes every row
@@ -129,7 +131,7 @@ class TestBuildTBitmaps:
                 assert bit_at(bm.valid[k], 0, 8) == 1
                 for v in range(P.table.num_variables):
                     for c in P.constants:
-                        assert bit_at(read_row(bm, k, v, c.id), 0, 8) == 1
+                        assert bit_at(read_row(bm, k, v, c), 0, 8) == 1
 
     def test_matches_explicit_graph_randomized(self):
         rng = random.Random(46)
@@ -138,7 +140,6 @@ class TestBuildTBitmaps:
             table = build_injective_table(P)
             width = rng.choice([8, 16, 64])
             bm = build_t_bitmaps(P, table, chunk_width=width)
-            sigma = [c.id for c in P.constants]
             nv = P.table.num_variables
             for k in range(1, len(P) + 1):
                 for j in range(k):
@@ -149,7 +150,7 @@ class TestBuildTBitmaps:
                         comp_v = component_of(comps, ("variable", v))
                         consts_v = {i for kind, i in comp_v if kind == "constant"}
                         prefix_v = {i for kind, i in comp_v if kind == "prefix"}
-                        for cid in sigma:
+                        for cid in P.constants:
                             comp_c = component_of(comps, ("constant", cid))
                             prefix_c = {i for kind, i in comp_c if kind == "prefix"}
                             clash = bool(prefix_v) and bool(prefix_c) and prefix_v != prefix_c

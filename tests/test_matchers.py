@@ -1,6 +1,6 @@
 import pytest
 
-from vcmatch.core import apply_substitution
+from helpers import image_codes
 from vcmatch.matchers import (
     ConvolutionMatcher,
     KmpMatcher,
@@ -66,9 +66,9 @@ class TestEstimatorSurface:
         report = matcher.find("ababbbb", with_witnesses=True)
         assert sorted(report.witnesses) == [1, 2, 4]
         for pos, pi in report.witnesses.items():
-            image = apply_substitution(pi, matcher.pattern_)
-            window = matcher._encode_text("ababbbb").symbols[pos - 1 : pos + 3]
-            assert image == window
+            image = image_codes(matcher.pattern_, pi.forward, 1, 4)
+            window = matcher._encode_text("ababbbb").codes[pos - 1 : pos + 3]
+            assert image == list(window)
 
     def test_empty_text_no_matches(self, cls):
         assert cls().fit("ABAb").predict("") == []

@@ -3,8 +3,7 @@ import random
 
 import pytest
 
-from helpers import classify, exact_positions, random_pattern_text, sub
-from vcmatch.core import apply_substitution
+from helpers import classify, exact_positions, image_codes, random_pattern_text, sub
 from vcmatch.naive import naive_all, window_match
 
 
@@ -60,8 +59,8 @@ class TestNaiveAll:
         P, T = classify("ABAb", "ababbbb")
         report = naive_all(P, T, "fvc", with_witnesses=True)
         for pos in report.positions:
-            image = apply_substitution(report.witnesses[pos], P)
-            assert image == T.symbols[pos - 1 : pos - 1 + len(P)]
+            image = image_codes(P, report.witnesses[pos].forward, 1, len(P))
+            assert image == list(T.codes[pos - 1 : pos - 1 + len(P)])
 
 
 class TestNaiveProperties:
@@ -81,7 +80,7 @@ class TestNaiveProperties:
                     for images in itertools.product(const_ids, repeat=len(variables)):
                         if injective and len(set(images)) != len(images):
                             continue
-                        mapping = dict(zip((v.id for v in variables), images))
+                        mapping = dict(zip(variables, images))
                         got = tuple(
                             code if code >= 0 else mapping[-1 - code] for code in P.codes
                         )
@@ -120,6 +119,7 @@ class TestNaiveProperties:
                 assert report.positions == sorted(set(report.positions))
                 assert all(1 <= p <= len(T) - len(P) + 1 for p in report.positions)
                 for pos, pi in (report.witnesses or {}).items():
-                    assert apply_substitution(pi, P) == T.symbols[pos - 1 : pos - 1 + len(P)]
+                    window = list(T.codes[pos - 1 : pos - 1 + len(P)])
+                    assert image_codes(P, pi.forward, 1, len(P)) == window
                     if mode == "pvc":
                         assert pi.is_injective

@@ -58,9 +58,9 @@ FFT_ERROR_BASE = 4.0
 # calls of both paths over six passes, at m = 1..2048 and 16..16,384
 # windows, fvc and pvc, 1-6 variables and 1-5 constants, on periodic texts
 # where no window dies early (2-vCPU x86 host, Python 3.11, numpy 2.4).
-# For m >= 64 the 10th-90th percentiles of estimate over time are 0.99-1.20
-# (0.93-1.29 when every position counted as one compare), and picking by
-# the fit cost 0.9% more than always picking the faster path.
+# For m >= 64 the 10th-90th percentiles of estimate over time are
+# 0.99-1.20, and picking by the fit cost 0.9% more than always picking the
+# faster path.
 # Microseconds, direct / FFT, pvc patterns over 3 variables and 3
 # constants:
 #
@@ -301,7 +301,8 @@ def conv_match_all(pattern: PatternString, text: TextString, mode: str = "fvc") 
     if n_out <= 0:
         return MatchReport([])
     tcodes = _text_array(text)
-    num_variables, num_constants = len(pattern.variables), len(pattern.constants)
+    num_variables = len(pattern.variables)
+    num_constants = len(set(pattern.codes)) - num_variables
     pairs = math.comb(num_variables, 2) if injective else 0
     variable_positions = sum(1 for code in pattern.codes if code < 0)
     # _direct_ok ANDs at each constant position, compares and ANDs at each

@@ -220,6 +220,8 @@ def _cmd_crosscheck(args) -> int:
     print(f"  mode={failure.mode}")
     for algo, positions in failure.reports.items():
         print(f"  {algo}: {positions}")
+    for algo, positions in failure.bad_witnesses.items():
+        print(f"  {algo} witnesses differ from window_match at: {positions}")
     return 1
 
 

@@ -157,6 +157,17 @@ class PatternString:
         return tuple(sorted({c for c in self.codes if c >= 0}))
 
     @cached_property
+    def first_occurrences(self) -> tuple[tuple[int, int], ...]:
+        """(variable id, 0-based position of its first occurrence) pairs, in
+        first-appearance order; a matching window binds each variable to the
+        text symbol under its first occurrence."""
+        seen: dict[int, int] = {}
+        for q, code in enumerate(self.codes):
+            if code < 0:
+                seen.setdefault(-1 - code, q)
+        return tuple(seen.items())
+
+    @cached_property
     def variables_by_prefix(self) -> tuple[tuple[int, ...], ...]:
         """For each prefix length j, the distinct variable ids in the first j symbols."""
         out: list[tuple[int, ...]] = [()]

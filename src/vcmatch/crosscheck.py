@@ -1,4 +1,5 @@
-"""Randomized agreement harness: every backend must report identical positions.
+"""Randomized agreement harness: every backend must report identical positions,
+and every witness must equal the one the oracle's ``window_match`` builds.
 
 The generator plants instantiated pattern copies into roughly half of the
 texts so positive windows are common, and the adversarial profile draws
@@ -9,11 +10,12 @@ from __future__ import annotations
 
 import random
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import MODES
+from .core import MODES, encode_text
 from .matchers import ALGORITHMS, make_matcher
+from .naive import window_match
 
 
 def generate_case(
@@ -63,6 +65,8 @@ class Disagreement:
     text: bytes
     mode: str
     reports: dict[str, list[int]]
+    # Per backend, the positions whose witness differs from window_match's.
+    bad_witnesses: dict[str, list[int]] = field(default_factory=dict)
 
 
 def run_crosscheck(
@@ -77,8 +81,10 @@ def run_crosscheck(
 ) -> tuple[int, Optional[Disagreement]]:
     """Run all backends in both modes on ``cases`` random instances.
 
-    Returns the number of fully agreeing cases and the first disagreement,
-    if any.  Deterministic under a fixed seed.
+    A case agrees when every backend reports naive's positions with a
+    witness per position equal to ``window_match``'s.  Returns the number
+    of fully agreeing cases and the first disagreement, if any.
+    Deterministic under a fixed seed.
     """
     rng = random.Random(seed)
     agree = 0
@@ -92,12 +98,21 @@ def run_crosscheck(
             repeat_bias=adversarial,
         )
         for mode in MODES:
-            reports = {}
+            reports, bad_witnesses = {}, {}
             for algo in ALGORITHMS:
-                matcher = make_matcher(algo, mode=mode, chunk_width=chunk_width)
-                reports[algo] = matcher.fit(praw).predict(traw)
+                matcher = make_matcher(algo, mode=mode, chunk_width=chunk_width).fit(praw)
+                report = matcher.find(traw, with_witnesses=True)
+                reports[algo] = report.positions
+                text = encode_text(traw, matcher.symbol_table_)
+                bad = [
+                    pos
+                    for pos, pi in report.witnesses.items()
+                    if window_match(matcher.pattern_, text, pos, matcher.injective_)[1] != pi
+                ]
+                if bad:
+                    bad_witnesses[algo] = bad
             baseline = reports["naive"]
-            if any(reports[algo] != baseline for algo in ALGORITHMS):
-                return agree, Disagreement(index, praw, traw, mode, reports)
+            if bad_witnesses or any(reports[algo] != baseline for algo in ALGORITHMS):
+                return agree, Disagreement(index, praw, traw, mode, reports, bad_witnesses)
         agree += 1
     return agree, None

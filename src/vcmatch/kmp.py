@@ -285,12 +285,6 @@ def build_bitmaps(
     return flatten_rows(pattern, table.entries[1:], table.injective, chunk_width)
 
 
-def _first_positions(codes: Sequence[int]) -> list[int]:
-    """For each position, the first position holding the same code."""
-    first: dict[int, int] = {}
-    return [first.setdefault(code, q) for q, code in enumerate(codes)]
-
-
 def _flip_log(m: int) -> defaultdict:
     """Per event key, the bits flipped at each prefix length k = 1..m (entry
     k - 1); the running XOR of a key's flips is its mask at every k."""
@@ -419,11 +413,8 @@ class KmpEngine:
         # Per shift j, each prefix variable with its first position: after
         # shift j of prefix length k it takes the window code at
         # k - j + that position.
-        first = _first_positions(pattern.codes)
-        firsts = [
-            (-1 - code, q) for q, code in enumerate(pattern.codes) if code < 0 and first[q] == q
-        ]
-        self._link_sources = [tuple(firsts[: len(vids)]) for vids in pattern.variables_by_prefix]
+        firsts = pattern.first_occurrences
+        self._link_sources = [firsts[: len(vids)] for vids in pattern.variables_by_prefix]
         # (k, *binding values in variables_by_prefix[k] order) -> (j, succeeding)
         self._failure_cache: dict[tuple, tuple[int, dict[int, int]]] = {}
         self._dfa: Optional[_Dfa] = None  # built by the first scan that hands over

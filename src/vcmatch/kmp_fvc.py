@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import PatternString, TextString
-from .kmp import MACHINE_WORD, KmpEngine, ShiftTable, _first_positions, _flip_log
+from .kmp import MACHINE_WORD, KmpEngine, ShiftTable, _flip_log
 from .kmp import BitmapSet, build_bitmaps  # noqa: F401  (re-exported)
 from .naive import MatchReport
 
@@ -111,6 +111,12 @@ def add_condition(
         members[-1 - winner] = (*members[-1 - winner], *moved)
     members[loser_id] = ()
     return winner, moved
+
+
+def _first_positions(codes: Sequence[int]) -> list[int]:
+    """For each position, the first position holding the same code."""
+    first: dict[int, int] = {}
+    return [first.setdefault(code, q) for q, code in enumerate(codes)]
 
 
 def walk_diagonals(codes: Sequence[int], m: int, nv: int) -> tuple:

@@ -12,9 +12,9 @@ import inspect
 from functools import cache
 from typing import Union
 
-from .core import TextString, encode_pattern, encode_text, is_injective_mode
+from .core import Substitution, TextString, encode_pattern, encode_text, is_injective_mode
 from .kmp import KmpEngine
-from .naive import MatchReport, naive_all, window_match
+from .naive import MatchReport, naive_all
 
 ALGORITHMS = ("naive", "conv", "kmp")
 
@@ -87,13 +87,20 @@ class BaseMatcher:
         return encode_text(check_text(text), self.symbol_table_)
 
     def find(self, text, with_witnesses: bool = False) -> MatchReport:
-        """Search a text; optionally attach a witness binding per position."""
+        """Search a text; optionally attach a witness binding per position.
+
+        A matching window fixes its substitution, each variable taking the
+        text symbol under its first occurrence, so a witness is read off
+        those positions instead of re-matching the window.
+        """
         self._check_fitted()
         encoded = self._encode_text(text)
         report = self._search(encoded)
         if with_witnesses:
+            codes = encoded.codes
+            firsts = self.pattern_.first_occurrences
             report.witnesses = {
-                pos: window_match(self.pattern_, encoded, pos, injective=self.injective_)[1]
+                pos: Substitution({vid: codes[pos - 1 + q] for vid, q in firsts})
                 for pos in report.positions
             }
         return report

@@ -277,6 +277,16 @@ class TestCrosscheck:
         out = capsys.readouterr().out
         assert "3/10 agree" in out and "kmp: []" in out
 
+    def test_witness_disagreement_reported_with_exit_1(self, capsys, monkeypatch):
+        from vcmatch import cli as cli_mod
+        from vcmatch.crosscheck import Disagreement
+
+        reports = {"naive": [1], "conv": [1], "kmp": [1]}
+        failure = Disagreement(0, b"AB", b"ab", "pvc", reports, {"conv": [1]})
+        monkeypatch.setattr(cli_mod, "run_crosscheck", lambda **kw: (0, failure))
+        assert main(["crosscheck", "--cases", "10"]) == 1
+        assert "conv witnesses differ from window_match at: [1]" in capsys.readouterr().out
+
 
 class TestBench:
     def test_csv_row_contract(self, capsys):

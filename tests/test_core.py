@@ -77,6 +77,8 @@ class TestClassifyInput:
         assert P.variables_by_prefix[1] == P.variables_by_prefix[2] == (A,)
         assert P.variables_by_prefix[5] == (A, B)
         assert P.variables_by_prefix[8] == (A, B, C)
+        assert P.first_occurrences == ((A, 0), (B, 2), (C, 5))
+        assert classify("ab", "b")[0].first_occurrences == ()
 
 
 def per_byte_encoding(raw_pattern: bytes, raw_texts, charset=ASCII_UPPERCASE):
@@ -196,7 +198,7 @@ class TestEncoder:
         assert report.positions
         assert set(text.__dict__) == {"codes", "table"}
         assert set(matcher.pattern_.__dict__) <= {
-            "codes", "table", "variables", "constants", "variables_by_prefix"
+            "codes", "table", "variables", "constants", "variables_by_prefix", "first_occurrences"
         }
 
 

@@ -1,6 +1,12 @@
+import random
+
 import pytest
 
+import vcmatch.matchers
+import vcmatch.naive
 from helpers import image_codes
+from vcmatch.core import MODES
+from vcmatch.crosscheck import generate_case, run_crosscheck
 from vcmatch.matchers import (
     ConvolutionMatcher,
     KmpMatcher,
@@ -9,6 +15,7 @@ from vcmatch.matchers import (
     find_all,
     make_matcher,
 )
+from vcmatch.naive import window_match
 
 ALL_CLASSES = [NaiveMatcher, ConvolutionMatcher, KmpMatcher]
 
@@ -99,3 +106,59 @@ class TestFactories:
     def test_find_all_convenience(self):
         assert find_all("ABAb", "ababbbb", mode="fvc", algo="conv") == [1, 2, 4]
         assert find_all("ABAb", "ababbbb", mode="pvc", algo="naive") == [1, 2]
+
+
+def witness_corpus():
+    """Seeded crosscheck cases plus (aABC)*8 over runs of four letters,
+    where most windows match and every variable repeats."""
+    rng = random.Random(11)
+    cases = [generate_case(rng, max_m=12, max_n=80, repeat_bias=i % 2 == 1) for i in range(150)]
+    runs = ("axyz", "ayyz", "abcd", "zzzz")
+    cases.append((b"aABC" * 8, "".join(rng.choice(runs) for _ in range(200)).encode()))
+    return cases
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("cls", ALL_CLASSES)
+class TestWitnessReadOff:
+    def test_read_off_equals_window_match(self, cls, mode):
+        matched = 0
+        for praw, traw in witness_corpus():
+            matcher = cls(mode=mode).fit(praw)
+            report = matcher.find(traw, with_witnesses=True)
+            text = matcher._encode_text(traw)
+            assert list(report.witnesses) == report.positions
+            for pos, pi in report.witnesses.items():
+                assert pi == window_match(matcher.pattern_, text, pos, matcher.injective_)[1]
+                assert mode == "fvc" or pi.is_injective
+            matched += len(report.positions)
+        assert matched > 500  # the corpus exercises the read-off
+
+    def test_find_never_rematches_windows(self, cls, mode, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("window_match called")
+
+        monkeypatch.setattr(vcmatch.matchers, "window_match", refuse, raising=False)
+        if cls is not NaiveMatcher:  # naive's own scan is window_match
+            monkeypatch.setattr(vcmatch.naive, "window_match", refuse)
+        matcher = cls(mode=mode).fit("ABAb")
+        report = matcher.find("ababbbb", with_witnesses=True)
+        expected = {"fvc": [1, 2, 4], "pvc": [1, 2]}[mode]
+        assert report.positions == expected
+        assert sorted(report.witnesses) == expected
+        assert report.witnesses[2].as_char_map(matcher.symbol_table_) == {"A": "b", "B": "a"}
+
+
+def test_crosscheck_catches_a_wrong_witness(monkeypatch):
+    find = KmpMatcher.find
+
+    def corrupted(self, text, with_witnesses=False):
+        report = find(self, text, with_witnesses)
+        for pi in (report.witnesses or {}).values():
+            pi.forward = {vid: cid + 1 for vid, cid in pi.forward.items()}
+        return report
+
+    monkeypatch.setattr(KmpMatcher, "find", corrupted)
+    agree, failure = run_crosscheck(cases=50, seed=1)
+    assert failure is not None and list(failure.bad_witnesses) == ["kmp"]
+    assert failure.reports["kmp"] == failure.reports["naive"]

@@ -135,18 +135,24 @@ class TestWitnessReadOff:
         assert matched > 500  # the corpus exercises the read-off
 
     def test_find_never_rematches_windows(self, cls, mode, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("window_match called")
+        calls = []
 
-        monkeypatch.setattr(vcmatch.matchers, "window_match", refuse, raising=False)
-        if cls is not NaiveMatcher:  # naive's own scan is window_match
-            monkeypatch.setattr(vcmatch.naive, "window_match", refuse)
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            if cls is not NaiveMatcher:
+                raise AssertionError("window_match called")
+            return window_match(*args, **kwargs)
+
+        monkeypatch.setattr(vcmatch.matchers, "window_match", counted, raising=False)
+        monkeypatch.setattr(vcmatch.naive, "window_match", counted)
         matcher = cls(mode=mode).fit("ABAb")
         report = matcher.find("ababbbb", with_witnesses=True)
         expected = {"fvc": [1, 2, 4], "pvc": [1, 2]}[mode]
         assert report.positions == expected
         assert sorted(report.witnesses) == expected
         assert report.witnesses[2].as_char_map(matcher.symbol_table_) == {"A": "b", "B": "a"}
+        # naive's scan tries each window once; the witnesses add no call.
+        assert calls == ([1, 2, 3, 4] if cls is NaiveMatcher else [])
 
 
 def test_crosscheck_catches_a_wrong_witness(monkeypatch):

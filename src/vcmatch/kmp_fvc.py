@@ -122,7 +122,7 @@ def _first_positions(codes: Sequence[int]) -> list[int]:
 def walk_diagonals(codes: Sequence[int], m: int, nv: int) -> tuple:
     """Walk every fvc diagonal d in lockstep over k, adding the pair
     (P[k-d-1], P[k-1]) to its cell; return the deaths and the (pin, tie,
-    clash) flip logs that :func:`vcmatch.kmp.diagonal_rows` cuts rows from.
+    clash) flip logs that :func:`vcmatch.kmp.diagonal_rows` builds rows from.
 
     A state is (d, reps, members) as ``add_condition`` keeps them.  Links
     are not stored: a prefix variable first seen at position q links to

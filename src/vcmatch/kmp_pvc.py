@@ -133,7 +133,7 @@ def _absorb(vc: dict, cv: dict, vp: dict, pv: dict, cp: dict, pc: dict, p: int, 
 def walk_diagonals(codes: Sequence[int], m: int, nv: int) -> tuple:
     """Walk every pvc diagonal d in lockstep over k, adding the pair
     (P[k-d-1], P[k-1]) to its cell; return the deaths and the (pin, tie,
-    clash) flip logs that :func:`vcmatch.kmp.diagonal_rows` cuts rows from.
+    clash) flip logs that :func:`vcmatch.kmp.diagonal_rows` builds rows from.
 
     A state is (d, held, *partner maps) in the order of ``PartnerEntry``'s
     fields, ``held`` being the pairs the cell has absorbed: classes only

@@ -172,8 +172,8 @@ def image_codes(pattern: PatternString, forward: dict[int, int], lo: int, hi: in
     return out
 
 
-def bit_at(words, j: int, chunk_width: int) -> int:
-    return (words[j // chunk_width] >> (j % chunk_width)) & 1
+def bit_at(row: int, j: int) -> int:
+    return (row >> j) & 1
 
 
 def read_row(bitmaps, k: int, v: int, c=None, y=None):

@@ -3,6 +3,7 @@ import itertools
 import logging
 import random
 import string
+import sys
 import tracemalloc
 
 import pytest
@@ -116,6 +117,20 @@ def test_worst_case_fit_keeps_only_bit_rows():
     assert peak < 24 * 2**20
 
 
+def test_long_pattern_fit_retains_one_int_per_row():
+    # (a A..Z)*20 under pvc stores about 28,000 rows of up to 540 bits: about
+    # 3 MiB as one int each, 7.6 MiB as tuples of 64-bit words.
+    pattern = encode_pattern((b"a" + string.ascii_uppercase.encode()) * 20)
+    tracemalloc.start()
+    try:
+        engine = PvcKmp(pattern)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert engine.bitmaps.max_valid_shift(len(pattern)) == len(pattern) - 1
+    assert retained < 5 * 2**20
+
+
 @pytest.mark.parametrize("injective", [False, True])
 def test_sparse_rows_differ_from_their_fallbacks(injective):
     rng = random.Random(80 + injective)
@@ -143,7 +158,7 @@ def test_sparse_rows_differ_from_their_fallbacks(injective):
 
 
 @pytest.mark.parametrize("injective", [False, True])
-# 7 has no struct word format, so its rows are cut word by word.
+# chunk_width does not shape the rows: every width fits the same ones.
 @pytest.mark.parametrize("chunk_width", [7, 8, 16, 64])
 def test_streamed_fit_equals_materialised_table(injective, chunk_width):
     rng = random.Random(60 + chunk_width + injective)
@@ -189,10 +204,14 @@ def test_fit_logs_one_debug_line(injective, caplog):
     assert fields["m"] == "16"
     # Every shift of (aABC)*4 is live in both modes.
     assert int(fields["live_cells"]) == 16 * 17 // 2
-    assert int(fields["live_cells"]) == sum(
-        bin(w).count("1") for row in engine.bitmaps.valid[1:] for w in row
-    )
-    assert int(fields["bit_row_words"]) >= sum(len(row) for row in engine.bitmaps.valid[1:])
+    assert int(fields["live_cells"]) == sum(row.bit_count() for row in engine.bitmaps.valid[1:])
+    # The distinct row ints' bytes: at least the live rows' bits, at most
+    # every stored row counted once per reference.
+    bitmaps = engine.bitmaps
+    families = (bitmaps.allow_value, bitmaps.allow_value_default, bitmaps.allow_distinct or [None])
+    rows = [*bitmaps.valid[1:], *(row for f in families for d in f[1:] for row in d.values())]
+    live_bytes = sum(-(-row.bit_length() // 8) for row in bitmaps.valid[1:])
+    assert live_bytes <= int(fields["bit_row_bytes"]) <= sum(map(sys.getsizeof, rows))
     assert int(fields["fit_ns"]) > 0
 
 

@@ -110,9 +110,9 @@ class TestBuildBitmaps:
         bm = build_bitmaps(P, table, chunk_width=8)
         A, B, C = (var_id(P.table, c) for c in "ABC")
         a, b = (const_id(P.table, c) for c in "ab")
-        assert bit_at(read_row(bm, 7, B, y=A), 6, 8) == 0
-        assert bit_at(read_row(bm, 7, C, a), 6, 8) == 1
-        assert bit_at(read_row(bm, 7, C, b), 6, 8) == 0
+        assert bit_at(read_row(bm, 7, B, y=A), 6) == 0
+        assert bit_at(read_row(bm, 7, C, a), 6) == 1
+        assert bit_at(read_row(bm, 7, C, b), 6) == 0
 
     def test_zero_shift_bits_always_one(self):
         rng = random.Random(33)
@@ -120,11 +120,11 @@ class TestBuildBitmaps:
             P, _ = random_pattern_text(rng, max_m=8)
             bm = build_bitmaps(P, build_table(P), chunk_width=8)
             for k in range(1, len(P) + 1):
-                assert bit_at(bm.valid[k], 0, 8) == 1
+                assert bit_at(bm.valid[k], 0) == 1
                 for v in range(P.table.num_variables):
                     for c in P.constants:
-                        assert bit_at(read_row(bm, k, v, c), 0, 8) == 1
-                    assert bit_at(read_row(bm, k, v), 0, 8) == 1
+                        assert bit_at(read_row(bm, k, v, c), 0) == 1
+                    assert bit_at(read_row(bm, k, v), 0) == 1
 
     def test_matches_explicit_graph_randomized(self):
         rng = random.Random(34)
@@ -138,15 +138,15 @@ class TestBuildBitmaps:
                 for j in range(k):
                     comps = graph_components(P, k, j)
                     valid = graph_is_valid(comps)
-                    assert bit_at(bm.valid[k], j, width) == int(valid)
+                    assert bit_at(bm.valid[k], j) == int(valid)
                     for v in range(nv):
                         comp = component_of(comps, ("variable", v))
                         kind, ident = representative(comp) if valid else (None, None)
                         pinned = valid and kind == "constant"
                         for cid in P.constants:
                             expected = int(valid and not (pinned and ident != cid))
-                            assert bit_at(read_row(bm, k, v, cid), j, width) == expected
-                        assert bit_at(read_row(bm, k, v), j, width) == int(
+                            assert bit_at(read_row(bm, k, v, cid), j) == expected
+                        assert bit_at(read_row(bm, k, v), j) == int(
                             valid and not pinned
                         )
                         for y in range(nv):
@@ -155,7 +155,7 @@ class TestBuildBitmaps:
                             ties = valid and representative(comp) == ("variable", y)
                             expected_s = int(valid and not ties)
                             assert (
-                                bit_at(read_row(bm, k, v, y=y), j, width) == expected_s
+                                bit_at(read_row(bm, k, v, y=y), j) == expected_s
                             )
 
 

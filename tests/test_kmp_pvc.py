@@ -116,11 +116,11 @@ class TestBuildTBitmaps:
         bm = build_t_bitmaps(P, table, chunk_width=8)
         A, C = (var_id(P.table, c) for c in "AC")
         a, b = (const_id(P.table, c) for c in "ab")
-        assert bit_at(read_row(bm, 7, C, a), 3, 8) == 1
-        assert bit_at(read_row(bm, 7, C, b), 3, 8) == 0
+        assert bit_at(read_row(bm, 7, C, a), 3) == 1
+        assert bit_at(read_row(bm, 7, C, b), 3) == 0
         # dead column at j=6 zeroes every row
         for cid in (a, b):
-            assert bit_at(read_row(bm, 7, A, cid), 6, 8) == 0
+            assert bit_at(read_row(bm, 7, A, cid), 6) == 0
 
     def test_zero_shift_bits_always_one(self):
         rng = random.Random(45)
@@ -128,10 +128,10 @@ class TestBuildTBitmaps:
             P, _ = random_pattern_text(rng, max_m=8)
             bm = build_t_bitmaps(P, build_injective_table(P), chunk_width=8)
             for k in range(1, len(P) + 1):
-                assert bit_at(bm.valid[k], 0, 8) == 1
+                assert bit_at(bm.valid[k], 0) == 1
                 for v in range(P.table.num_variables):
                     for c in P.constants:
-                        assert bit_at(read_row(bm, k, v, c), 0, 8) == 1
+                        assert bit_at(read_row(bm, k, v, c), 0) == 1
 
     def test_matches_explicit_graph_randomized(self):
         rng = random.Random(46)
@@ -145,7 +145,7 @@ class TestBuildTBitmaps:
                 for j in range(k):
                     comps = graph_components(P, k, j)
                     alive = graph_is_injectively_valid(comps)
-                    assert bit_at(bm.valid[k], j, width) == int(alive)
+                    assert bit_at(bm.valid[k], j) == int(alive)
                     for v in range(nv):
                         comp_v = component_of(comps, ("variable", v))
                         consts_v = {i for kind, i in comp_v if kind == "constant"}
@@ -157,8 +157,8 @@ class TestBuildTBitmaps:
                             expected = int(
                                 alive and not (consts_v - {cid}) and not clash
                             )
-                            assert bit_at(read_row(bm, k, v, cid), j, width) == expected
-                        assert bit_at(read_row(bm, k, v), j, width) == int(
+                            assert bit_at(read_row(bm, k, v, cid), j) == expected
+                        assert bit_at(read_row(bm, k, v), j) == int(
                             alive and not consts_v
                         )
 

@@ -196,8 +196,8 @@ def _cmd_find(args) -> int:
             doc["witnesses"] = witnesses
         print(json.dumps(doc))
     else:
-        for pos in positions:
-            print(pos)
+        # One write, formatted in C: a join would first hold one str per position.
+        sys.stdout.write("%d\n" * len(positions) % tuple(positions))
     return 0
 
 

@@ -13,7 +13,9 @@ Constants and variables live in two disjoint, append-only registries that
 assign dense integer ids in first-appearance order.  All iteration orders
 downstream follow registration order, which keeps outputs deterministic.
 Patterns and texts store flat integer codes, the only representation of a
-symbol: a constant's id (>= 0), or ``-1 - id`` for a variable.
+symbol: a constant's id (>= 0), or ``-1 - id`` for a variable.  A pattern's
+codes are a tuple; a text's are ``bytes``, one byte per id, or a tuple only
+when a hand-built table gives some id above 255.
 """
 
 from __future__ import annotations
@@ -83,13 +85,13 @@ class SymbolTable:
             self.variable_bytes.append(byte)
         return ident
 
-    def encode_text(self, raw: bytes) -> tuple[int, ...]:
-        """Constant codes of a raw text, interning its unseen bytes first
-        (in first-appearance order)."""
+    def encode_text(self, raw: bytes) -> bytes:
+        """Constant codes of a raw text, one byte per id, interning its
+        unseen bytes first (in first-appearance order)."""
         unseen = raw.translate(None, self._byte_translation()[1])
         for byte in sorted(set(unseen), key=unseen.find):
             self.intern_constant(byte)
-        return tuple(raw.translate(self._byte_translation()[0]))
+        return raw.translate(self._byte_translation()[0])
 
     def _byte_translation(self) -> tuple[bytes, bytes]:
         """The byte -> constant id translate table, and the bytes it maps."""
@@ -184,24 +186,33 @@ _BYTE_IDS = bytes(range(256))
 
 @dataclass(frozen=True)
 class TextString:
-    """A (possibly empty) sequence of constants, stored as constant ids."""
+    """A (possibly empty) sequence of constants, stored as constant ids.
 
-    codes: tuple[int, ...]
+    ``codes`` is ``bytes``, one byte per id, whenever every id fits a byte;
+    hand-built codes are stored that way too.  Only ids above 255, which
+    come from hand-built tables alone, keep a tuple of ints.
+    """
+
+    codes: bytes | tuple[int, ...]
     table: SymbolTable
 
     def __post_init__(self) -> None:
         bound = self.table.num_constants
-        try:  # C-level check for byte-sized ids
-            stray = bytes(self.codes).translate(None, _BYTE_IDS[:bound])
+        try:  # C-level conversion and check for byte-sized ids
+            codes = bytes(self.codes)
         except ValueError:  # an id outside 0..255
-            stray = [c for c in self.codes if not 0 <= c < bound]
+            codes = tuple(self.codes)
+            stray = [c for c in codes if not 0 <= c < bound]
+        else:
+            stray = codes.translate(None, _BYTE_IDS[:bound])
         if stray:
             if min(stray) < 0:
                 raise InvalidInputError("text must contain constants only")
             raise InvalidInputError(f"code {max(stray)} out of registry range")
+        object.__setattr__(self, "codes", codes)
 
     @classmethod
-    def _encoded(cls, codes: tuple[int, ...], table: SymbolTable) -> "TextString":
+    def _encoded(cls, codes: bytes, table: SymbolTable) -> "TextString":
         """A text from :meth:`SymbolTable.encode_text`, whose codes are valid
         by construction, so the checks of ``__post_init__`` are skipped."""
         text = object.__new__(cls)
@@ -216,17 +227,25 @@ class TextString:
 class Substitution:
     """A partial map from variable ids to constant ids plus its inverse.
 
-    The inverse (constant id -> set of variable ids) is maintained on every
-    update so injectivity checks are O(1).
+    The inverse (constant id -> set of variable ids) is built on first use,
+    by an injective :meth:`bind`, :attr:`is_injective` or :attr:`inverse`.
+    Injective binds keep it up to date, so their conflict checks are O(1);
+    a non-injective bind drops it instead.  A map that is only compared or
+    rendered, such as a search's witness, never builds it.
     """
 
     def __init__(self, mapping: Optional[Mapping[int, int]] = None) -> None:
-        self.forward: dict[int, int] = {}
-        self.inverse: dict[int, set[int]] = {}
-        if mapping:
-            for var_id, const_id in mapping.items():
-                self.forward[var_id] = const_id
-                self.inverse.setdefault(const_id, set()).add(var_id)
+        self.forward: dict[int, int] = dict(mapping) if mapping else {}
+        # An empty map's inverse costs nothing to build.
+        self._inverse: Optional[dict[int, set[int]]] = None if mapping else {}
+
+    @property
+    def inverse(self) -> dict[int, set[int]]:
+        if self._inverse is None:
+            self._inverse = {}
+            for var_id, const_id in self.forward.items():
+                self._inverse.setdefault(const_id, set()).add(var_id)
+        return self._inverse
 
     def get(self, var_id: int) -> Optional[int]:
         return self.forward.get(var_id)
@@ -258,10 +277,17 @@ class Substitution:
         current = self.forward.get(var_id)
         if current is not None:
             return current == const_id
-        if injective and self.inverse.get(const_id):
+        if not injective:
+            self.forward[var_id] = const_id
+            self._inverse = None
+            return True
+        inverse = self._inverse
+        if inverse is None:
+            inverse = self.inverse
+        if inverse.get(const_id):
             return False
         self.forward[var_id] = const_id
-        self.inverse.setdefault(const_id, set()).add(var_id)
+        inverse.setdefault(const_id, set()).add(var_id)
         return True
 
     def copy(self) -> "Substitution":

@@ -444,7 +444,7 @@ class KmpEngine:
             return MatchReport([])
         tcodes = text.codes
         positions: list[int] = []
-        i, k, forward = self._scan(tcodes, 0, n, 0, {}, positions, DFA_HANDOVER_INDEX)
+        i, k, forward = self._scan(tcodes, 0, 0, {}, positions, DFA_HANDOVER_INDEX)
         handover = handback = None
         fills = 0
         if i < n:
@@ -452,7 +452,7 @@ class KmpEngine:
             i, k, forward, fills = self._dfa_scan(text, i, k, forward, positions)
             if i < n:
                 handback = i
-                self._scan(tcodes, i, n, k, forward, positions, n + 1)
+                self._scan(tcodes, i, k, forward, positions, n + 1)
         if logger.isEnabledFor(logging.DEBUG):
             dfa = self._dfa
             logger.debug(
@@ -463,51 +463,65 @@ class KmpEngine:
         return MatchReport(positions)
 
     def _scan(
-        self, tcodes: Sequence[int], i: int, n: int, k: int, forward: dict[int, int],
+        self, tcodes: Sequence[int], i: int, k: int, forward: dict[int, int],
         positions: list[int], handover_at: int,
     ) -> tuple[int, int, dict[int, int]]:
-        """The plain loop over ``tcodes[i:n]`` from scan state (k, forward).
+        """The plain loop over ``tcodes[i:]`` from scan state (k, forward).
 
-        Appends the 1-based start of each match to ``positions`` and returns
-        the state (i, k, forward) it stops in: at n, or from index
-        ``handover_at`` on as soon as failures outnumber half of i.  This is
-        the one copy of the match rule; the DFA fills its entries through
-        it, one character at a time.
+        ``tcodes`` is a text's codes, ``bytes`` or a tuple.  A ``bytes``
+        subscript costs more than a tuple one while iterating costs the
+        same, so the loop iterates from i, and an inner loop re-tests a
+        character after each failure.  Appends the 1-based start of each
+        match to ``positions`` and returns the state (i, k, forward) it
+        stops in: at the end, or from index ``handover_at`` on as soon as
+        failures outnumber half of i.  i is then the index past a character
+        that completed a match, or the index of a character that failed,
+        which the next loop must read again.  This is the one copy of the
+        match rule; the DFA fills its entries through it, one character at
+        a time.
         """
         injective = self.injective
         pcodes = self.pattern.codes
         m = len(pcodes)
         failure = self._failure_ids
         failures = 0
-        while i < n:
-            code = pcodes[k]
-            t = tcodes[i]
-            if code >= 0:
-                ok = code == t
-            else:
-                vid = -1 - code
-                bound = forward.get(vid)
-                if bound is None:
-                    # pvc: a value bound to another variable is a mismatch
-                    ok = not injective or t not in forward.values()
-                    if ok:
-                        forward[vid] = t
+        n = len(tcodes)
+        chars = iter(tcodes)
+        if i:
+            chars.__setstate__(i)
+        for t in chars:
+            while True:
+                code = pcodes[k]
+                if code >= 0:
+                    ok = code == t
                 else:
-                    ok = bound == t
-            if ok:
-                i += 1
-                k += 1
-                if k < m:
-                    continue
-                positions.append(i - m + 1)
-            elif k == 0:
-                i += 1
-                continue
-            k, forward = failure(k, forward)
-            failures += 1
-            if i >= handover_at and failures * 2 > i:
-                break
-        return i, k, forward
+                    vid = -1 - code
+                    bound = forward.get(vid)
+                    if bound is None:
+                        # pvc: a value bound to another variable is a mismatch
+                        ok = not injective or t not in forward.values()
+                        if ok:
+                            forward[vid] = t
+                    else:
+                        ok = bound == t
+                if ok:
+                    k += 1
+                    if k < m:
+                        break
+                    positions.append(n - chars.__length_hint__() - m + 1)
+                elif k == 0:
+                    break
+                k, forward = failure(k, forward)
+                failures += 1
+                if failures * 2 > handover_at:  # else no hand-over can be due
+                    i = n - chars.__length_hint__()  # the index past t
+                    if not ok:
+                        i -= 1  # t failed: the next loop reads it again
+                    if i >= handover_at and failures * 2 > i:
+                        return i, k, forward
+                if ok:  # a match moves on; a failed character is tested again
+                    break
+        return n, k, forward
 
     def _dfa_scan(
         self, text: TextString, i: int, k: int, forward: dict[int, int], positions: list[int]
@@ -568,7 +582,7 @@ class KmpEngine:
         k = key[0]
         matched: list[int] = []
         forward = dict(zip(self.pattern.variables_by_prefix[k], key[1:]))
-        _, k, forward = self._scan((code,), 0, 1, k, forward, matched, 2)  # 2: never hand over
+        _, k, forward = self._scan((code,), 0, k, forward, matched, 2)  # 2: never hand over
         target = dfa.state((k, *forward.values()))
         if matched:
             dfa.emits[id(row), code] = target

@@ -55,6 +55,9 @@ def naive_all(
 ) -> MatchReport:
     """Check every window; O(n*m) time."""
     injective = is_injective_mode(mode)
+    # A tuple subscript is cheaper than a bytes one, so the windows read
+    # the text as a tuple, built once per search.
+    text = TextString._encoded(tuple(text.codes), text.table)
     positions: list[int] = []
     witnesses: dict[int, Substitution] = {}
     for start in range(1, len(text) - len(pattern) + 2):

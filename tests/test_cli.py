@@ -226,6 +226,21 @@ def test_program_entry_point_finds():
     assert proc.stdout == "1\n2\n4\n"
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [("ccc", b""), ("abab", b"1\n"), ("ababbbb" * 2, b"1\n2\n4\n8\n9\n11\n")],
+)
+def test_position_lines_exact_stdout(text, expected):
+    # Positions are written as one string: the bytes are those of one
+    # print per position, and no match writes nothing at all.
+    src = str(Path(vcmatch.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["find", "--pattern", "ABAb", "--text-inline", text, "--mode", "fvc", "--algo", "all"]
+    proc = subprocess.run([sys.executable, "-m", "vcmatch.cli", *argv], env=env,
+                          capture_output=True, check=True)
+    assert proc.stdout == expected
+
+
 def test_conv_names_still_exported():
     from vcmatch import OverflowRiskError, conv_match_all, correlate  # noqa: F401
 

@@ -97,7 +97,7 @@ def assert_same_encoding(raw_pattern: bytes, raw_texts, charset=ASCII_UPPERCASE)
     P = encode_pattern(raw_pattern, charset)
     texts = [encode_text(raw, P.table) for raw in raw_texts]
     assert P.codes == want_pattern
-    assert [T.codes for T in texts] == want_texts
+    assert [tuple(T.codes) for T in texts] == want_texts
     assert P.table.constant_bytes == want_table.constant_bytes
     assert P.table.variable_bytes == want_table.variable_bytes
 
@@ -121,7 +121,7 @@ class TestEncoder:
     def test_empty_text(self):
         assert_same_encoding(b"Ab", [b""])
         P, T = classify("Ab", "")
-        assert T.codes == () and len(T) == 0
+        assert tuple(T.codes) == () and len(T) == 0
 
     def test_randomized_against_per_byte_loop(self):
         rng = random.Random(12)
@@ -141,8 +141,8 @@ class TestEncoder:
         second = matcher._encode_text("zbyaz")
         table = matcher.symbol_table_
         assert table.constant_bytes == before + [ord("z"), ord("y")]
-        assert first.codes == tuple(before.index(b) for b in b"abba")
-        assert second.codes == tuple(table.constant_bytes.index(b) for b in b"zbyaz")
+        assert tuple(first.codes) == tuple(before.index(b) for b in b"abba")
+        assert tuple(second.codes) == tuple(table.constant_bytes.index(b) for b in b"zbyaz")
         assert matcher.predict("abbazbaab") == [1, 5]
 
     def test_non_byte_keys_with_byte_sized_ids(self):
@@ -151,7 +151,7 @@ class TestEncoder:
         for key in range(9000):
             table.intern_constant(key)
         T = encode_text(b"\x00a\xff", table)
-        assert T.codes == (0, ord("a"), 255)
+        assert tuple(T.codes) == (0, ord("a"), 255)
         assert table.num_constants == 9000
 
     def test_non_byte_keys_never_truncate_ids(self):
@@ -172,6 +172,20 @@ class TestEncoder:
             for _ in range(3):
                 T = encode_text(bytes(rng.choice(alphabet) for _ in range(rng.randint(0, 200))), P.table)
                 assert TextString(T.codes, T.table) == T
+
+    def test_encoded_text_codes_are_bytes(self):
+        P = encode_pattern(b"Ab")
+        # b is constant 0, and a is interned as constant 1 by the text.
+        assert P.table.encode_text(b"abba") == b"\x01\x00\x00\x01"
+        assert type(P.table.encode_text(b"abba")) is bytes
+        assert type(encode_text(b"", P.table).codes) is bytes
+
+    def test_hand_built_byte_sized_codes_are_stored_as_bytes(self):
+        P, T = classify("AbB", "abcab")
+        for codes in (tuple(T.codes), list(T.codes), bytearray(T.codes), T.codes):
+            hand = TextString(codes, T.table)
+            assert type(hand.codes) is bytes
+            assert hand == T
 
     def test_hand_built_codes_are_range_checked(self):
         P, T = classify("Ab", "ab")
@@ -247,6 +261,14 @@ class TestSubstitutionInvariants:
             for v, c in pi.items():
                 rebuilt.setdefault(c, set()).add(v)
             assert rebuilt == pi.inverse
+
+    def test_inverse_is_built_on_first_use(self):
+        pi = Substitution({0: 1, 2: 3})
+        assert pi.bind(4, 1) and pi._inverse is None  # a plain bind leaves it unbuilt
+        assert not pi.bind(5, 3, injective=True)
+        assert pi.inverse == {1: {0, 4}, 3: {2}}
+        assert pi.bind(5, 6, injective=True) and pi.inverse[6] == {5}
+        assert pi.is_injective is False
 
     def test_injective_flag_keeps_inverse_thin(self):
         rng = random.Random(8)

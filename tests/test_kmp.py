@@ -348,6 +348,29 @@ def test_dfa_hand_over_keeps_matches_at_its_edges(injective, caplog):
     assert scan_lines(caplog)[0]["handover"] == "256"
 
 
+@pytest.mark.parametrize("injective", [False, True])
+@pytest.mark.parametrize(
+    "praw, traw",
+    [
+        # "ab" fails at every "a" after the first of a run, and failures
+        # first outnumber half of the characters read at the "a" at index
+        # 603: a mismatch.  The DFA must read that "a" again to match the
+        # "b" after it (1-based 604).
+        (b"ab", b"c" * 300 + b"a" * 301 + b"b" + b"aab" + b"a" * 100 + b"ab"),
+        # "aa" completes a match at every "a" after the first; the failure
+        # after the match at index 602 hands over at 603, and the DFA must
+        # not read index 602 again, or it would report that match twice.
+        (b"aa", b"c" * 300 + b"a" * 400),
+    ],
+)
+def test_dfa_hand_over_after_a_mismatch_and_after_a_match(praw, traw, injective, caplog):
+    P, T = classify_input(praw, traw)
+    with caplog.at_level(logging.DEBUG, logger="vcmatch.kmp"):
+        positions = KmpEngine(P, injective).find_all(T).positions
+    assert positions == naive_all(P, T, mode="pvc" if injective else "fvc").positions
+    assert scan_lines(caplog)[0]["handover"] == "603"
+
+
 @pytest.mark.parametrize("mode", ["fvc", "pvc"])
 def test_dfa_flush_hands_back_and_keeps_positions(mode, monkeypatch, caplog):
     rng = random.Random(71 + len(mode))

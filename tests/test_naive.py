@@ -74,7 +74,7 @@ class TestNaiveProperties:
             variables = P.variables
             const_ids = range(P.table.num_constants)
             for start in range(1, n - m + 2):
-                window = T.codes[start - 1 : start - 1 + m]
+                window = tuple(T.codes[start - 1 : start - 1 + m])
                 for injective in (False, True):
                     exists = False
                     for images in itertools.product(const_ids, repeat=len(variables)):

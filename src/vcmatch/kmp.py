@@ -13,12 +13,13 @@ row and, in sparse dicts, the value, default and tie rows that restrict it
 stored rows its bindings select and takes the highest set bit.  Cell (k, j)
 is cell (k-1, j-1) plus one aligned pair, so the fit (:func:`diagonal_rows`)
 walks every diagonal d = k - j once, holding one mutable cell state per
-live diagonal; only a pair that changes a state touches the rows.  A
-prefix variable's link, which rebuilds the succeeding bindings after a
-shift, is read off the pattern: the window code aligned with its first
-occurrence.  pvc needs no tie rows: the preceding bindings are injective
-by construction, and live pvc cells never tie two window variables
-together.
+live diagonal and one int mask over the diagonals per event (a pin, tie or
+clash); only a pair that changes a state flips a bit.  Each prefix length's
+rows are built from those masks as the walk reaches it.  A prefix
+variable's link, which rebuilds the succeeding bindings after a shift, is
+read off the pattern: the window code aligned with its first occurrence.
+pvc needs no tie rows: the preceding bindings are injective by
+construction, and live pvc cells never tie two window variables together.
 
 ``ShiftTable`` (the cells, materialised) and ``flatten_rows`` (their bit
 rows) are the inspectable reference the engine's rows are tested against.
@@ -42,8 +43,6 @@ import sys
 import time
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import accumulate, compress
-from operator import and_, invert, ne, or_, rshift, xor
 from typing import Iterable, Optional, Sequence
 
 from .core import PatternString, Substitution, TextString
@@ -145,64 +144,67 @@ class BitmapSet:
         return self.valid[k].bit_length() - 1
 
 
-def _assemble(
-    injective: bool, alive: list[int], pinned: dict, tied: dict, clashing: dict, shifts: list[int]
-) -> BitmapSet:
-    """The bit rows from mask columns over prefix lengths k = 1..m.
+def _add_rows(bitmaps: BitmapSet, k: int, live: int, masks: tuple, shift: int) -> None:
+    """Store the rows of prefix length k in ``bitmaps``.
 
-    Shift j of prefix length k is bit j + ``shifts[k - 1]`` of the k-th
-    entry of each column: ``alive`` marks the live cells, ``pinned[v, c]``
-    the cells forcing v to constant c, ``tied[x, y]`` those making y the
-    representative of x, and ``clashing[v, c]`` those whose classes of v
-    and c hold different prefix variables; an event column marks live
-    cells only.  A row family's k-th dict keeps only the rows that differ
-    from their fallback row.
+    Shift j of k is bit j + ``shift`` of each int mask: ``live`` marks the
+    live cells, and ``masks`` is the event dicts (pinned, tied, clashing):
+    ``pinned[v, c]`` marks the cells forcing v to constant c, ``tied[x, y]``
+    those making y the representative of x, and ``clashing[v, c]`` those
+    whose classes of v and c hold different prefix variables.  An event
+    mask's bits of dead cells are ignored, and a key with none on a live
+    cell is deleted from its dict.  Each row is stored only where it
+    differs from the row a lookup would otherwise use.
     """
-    m = len(alive)
+    pinned, tied, clashing = masks
+    alive = live >> shift
+    bitmaps.valid[k] = alive
+    values = _row_marks(pinned, live, shift)
+    # Per pinned variable, the live cells pinning it to no constant: pins
+    # are live cells, and one cell pins a variable at most once.
+    unpinned: dict[int, int] = {}
+    for (vid, _), marks in values.items():
+        unpinned[vid] = unpinned.get(vid, alive) ^ marks
+    # A variable pinned to one constant only may take that one wherever it
+    # is live: its value row is the live row itself.  A pinned value row
+    # differs from v's default row, which clears the pin.
+    for key, marks in values.items():
+        row = marks | unpinned[key[0]]
+        values[key] = alive if row == alive else row
+    if clashing:
+        for key, marks in _row_marks(clashing, live, shift).items():
+            default = unpinned.get(key[0], alive)
+            row = values.get(key, default) & ~marks
+            if row != default:
+                values[key] = row
+            elif key in values:
+                del values[key]
+    bitmaps.allow_value[k] = values
+    bitmaps.allow_value_default[k] = unpinned
+    if bitmaps.allow_distinct is not None:
+        ties = _row_marks(tied, live, shift) if tied else {}
+        for key, marks in ties.items():
+            ties[key] = alive ^ marks
+        bitmaps.allow_distinct[k] = ties
 
-    def shifted(column: list[int]) -> list[int]:
-        return list(map(rshift, column, shifts))
 
-    def clear(rows: list[int], marks: list[int]) -> list[int]:
-        return list(map(and_, rows, map(invert, marks)))
+def _row_marks(masks: dict, live: int, shift: int) -> dict:
+    """Each key's mask on the live cells, shifted down by ``shift``; keys
+    with none leave ``masks``."""
+    marks = {}
+    for key, mask in masks.items():
+        mask &= live
+        if mask:
+            marks[key] = mask >> shift
+    if len(marks) < len(masks):
+        for key in masks.keys() - marks.keys():
+            del masks[key]
+    return marks
 
-    # Per pinned variable, the live shifts pinning it to no constant: pins
-    # are live shifts, and one shift pins a variable at most once.
-    unpinned: dict[int, list[int]] = {}
-    pin_count: dict[int, int] = {}
-    for (vid, _), marks in pinned.items():
-        unpinned[vid] = list(map(xor, unpinned.get(vid, alive), marks))
-        pin_count[vid] = pin_count.get(vid, 0) + 1
-    unpinned = {vid: shifted(column) for vid, column in unpinned.items()}
-    alive = shifted(alive)
-    # A variable pinned to one constant only may take that one wherever it is live.
-    values = {
-        key: alive if pin_count[key[0]] == 1 else list(map(or_, shifted(marks), unpinned[key[0]]))
-        for key, marks in pinned.items()
-    }
-    for key, column in clashing.items():
-        base = values[key] if key in values else unpinned.get(key[0], alive)
-        values[key] = clear(base, shifted(column))
 
-    def sparse(columns: dict, fallback) -> list:
-        """Per k, a dict of the rows of ``columns`` that differ from the
-        column ``fallback(key)``."""
-        family: list[dict] = [{} for _ in range(m)]
-        for key, column in columns.items():
-            for k in compress(range(m), map(ne, column, fallback(key))):
-                family[k][key] = column[k]
-        return [None, *family]
-
-    distinct = None
-    if not injective:
-        ties = {key: clear(alive, shifted(column)) for key, column in tied.items()}
-        distinct = sparse(ties, lambda _: alive)
-    return BitmapSet(
-        [None, *alive],
-        sparse(values, lambda key: unpinned.get(key[0], alive)),
-        sparse(unpinned, lambda _: alive),
-        distinct,
-    )
+def _unfilled_rows(m: int, injective: bool) -> BitmapSet:
+    """A :class:`BitmapSet` with a slot per prefix length 1..m."""
+    return BitmapSet(*([None] * (m + 1) for _ in range(3)), None if injective else [None] * (m + 1))
 
 
 def flatten_rows(
@@ -215,23 +217,20 @@ def flatten_rows(
     """
     if chunk_width < 1:
         raise ValueError("chunk_width must be positive")
-    m = len(pattern)
-    alive = [0] * m
-    pinned, tied, clashing = (defaultdict(lambda: [0] * m) for _ in range(3))
-    for k, row in enumerate(rows):
+    bitmaps = _unfilled_rows(len(pattern), injective)
+    for k, row in enumerate(rows, 1):
+        live = 0
+        masks = defaultdict(int), defaultdict(int), defaultdict(int)
         for j, cell in enumerate(row):
             if cell is None:
                 continue
             bit = 1 << j
-            alive[k] |= bit
-            pins, ties, clashes = cell.read()
-            for pair in pins:
-                pinned[pair][k] |= bit
-            for pair in ties:
-                tied[pair][k] |= bit
-            for pair in clashes:
-                clashing[pair][k] |= bit
-    return _assemble(injective, alive, pinned, tied, clashing, [0] * m)
+            live |= bit
+            for marks, pairs in zip(masks, cell.read()):
+                for pair in pairs:
+                    marks[pair] |= bit
+        _add_rows(bitmaps, k, live, masks, 0)
+    return bitmaps
 
 
 def build_bitmaps(
@@ -239,18 +238,6 @@ def build_bitmaps(
 ) -> BitmapSet:
     """Bit rows of a materialised table; equal to the engine's."""
     return flatten_rows(pattern, table.entries[1:], table.injective, chunk_width)
-
-
-def _flip_log(m: int) -> defaultdict:
-    """Per event key, the bits flipped at each prefix length k = 1..m (entry
-    k - 1); the running XOR of a key's flips is its mask at every k."""
-    return defaultdict(lambda: [0] * m)
-
-
-def _columns(log: dict, alive: list[int]) -> dict[tuple, list[int]]:
-    """Per event key, its mask at every k: the running XOR of its flips,
-    cleared where its diagonal has died."""
-    return {key: list(map(and_, accumulate(flips, xor), alive)) for key, flips in log.items()}
 
 
 def diagonal_rows(
@@ -261,12 +248,12 @@ def diagonal_rows(
     Cell (k, j) is cell (k-1, j-1) plus the pair (P[j-1], P[k-1]), so each
     diagonal d = k - j keeps one mutable cell state and, in lockstep over
     k, absorbs its pair in place until it dies.  A pair the state already
-    satisfies costs a lookup or two.  Every event (a pin, tie or clash) has
-    one int mask over diagonals, bit m - d for diagonal d: the walk logs
-    each real change and each death as a flip at its prefix length, the
-    running XOR of an event's flips, cleared where its diagonal has died,
-    is its mask at every k, and row k is that mask shifted down by m - k.
-    Equal to :func:`flatten_rows` of the cell rows.
+    satisfies costs a lookup or two.  The walk keeps one int mask over
+    diagonals per event (a pin, tie or clash), bit m - d for diagonal d,
+    and flips a bit on each real change.  After each k, that k's rows are
+    the masks on the live diagonals, shifted down by m - k, and are built
+    before the walk moves on.  Equal to :func:`flatten_rows` of the cell
+    rows.
     """
     if chunk_width < 1:
         raise ValueError("chunk_width must be positive")
@@ -276,12 +263,11 @@ def diagonal_rows(
     else:
         from .kmp_fvc import walk_diagonals
     m = len(pattern)
-    deaths, logs = walk_diagonals(pattern.codes, m, pattern.table.num_variables)
-    deaths[0] ^= (1 << m) - 1  # diagonals start live; those past k are shifted out
-    alive = list(accumulate(deaths, xor))
-    return _assemble(
-        injective, alive, *(_columns(log, alive) for log in logs), list(range(m - 1, -1, -1))
-    )
+    bitmaps = _unfilled_rows(m, injective)
+    walk = walk_diagonals(pattern.codes, m, pattern.table.num_variables)
+    for k, (live, masks) in enumerate(walk, 1):
+        _add_rows(bitmaps, k, live, masks, m - k)
+    return bitmaps
 
 
 def _row_counts(bitmaps: BitmapSet) -> tuple[int, int]:

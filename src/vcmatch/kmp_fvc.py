@@ -9,11 +9,12 @@ the scan, failure function and bit rows live in :mod:`vcmatch.kmp`.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .core import PatternString, TextString
-from .kmp import MACHINE_WORD, KmpEngine, ShiftTable, _flip_log
+from .kmp import MACHINE_WORD, KmpEngine, ShiftTable
 from .kmp import BitmapSet, build_bitmaps  # noqa: F401  (re-exported)
 from .naive import MatchReport
 
@@ -119,58 +120,62 @@ def _first_positions(codes: Sequence[int]) -> list[int]:
     return [first.setdefault(code, q) for q, code in enumerate(codes)]
 
 
-def walk_diagonals(codes: Sequence[int], m: int, nv: int) -> tuple:
+def walk_diagonals(codes: Sequence[int], m: int, nv: int) -> Iterator[tuple[int, tuple]]:
     """Walk every fvc diagonal d in lockstep over k, adding the pair
-    (P[k-d-1], P[k-1]) to its cell; return the deaths and the (pin, tie,
-    clash) flip logs that :func:`vcmatch.kmp.diagonal_rows` builds rows from.
+    (P[k-d-1], P[k-1]) to its cell; after each k, yield the live mask and
+    the (pin, tie, clash) masks that :func:`vcmatch.kmp.diagonal_rows`
+    builds that k's rows from.
 
-    A state is (d, reps, members) as ``add_condition`` keeps them.  Links
-    are not stored: a prefix variable first seen at position q links to
-    window code P[d + q].  Only a merge flips event bits: each variable of
-    the losing class drops its tie to the loser and takes a pin or a tie to
-    the winner, as ``add_condition`` reports them.
+    A mask holds bit m - d for diagonal d; an event's mask may keep bits of
+    diagonals that died, and the reader may delete an event with no live
+    bit from its dict.  A state is (d, reps, members) as
+    ``add_condition`` keeps them.  Links are not stored: a prefix variable
+    first seen at position q links to window code P[d + q].  Only a merge
+    flips event bits: each variable of the losing class drops its tie to
+    the loser and takes a pin or a tie to the winner, as ``add_condition``
+    reports them.
     """
     first = _first_positions(codes)
     start_reps = [-1 - vid for vid in range(nv)]
     singletons = [(vid,) for vid in range(nv)]
-    deaths = [0] * m
-    logs = pinned, tied, _ = _flip_log(m), _flip_log(m), _flip_log(m)
-    live: list = []
-    for k in range(1, m + 1):
-        w = codes[k - 1]
+    live = (1 << m) - 1  # diagonals past k are shifted out of row k
+    masks = pinned, tied, _ = defaultdict(int), defaultdict(int), {}
+    states: list = []
+    for i, w in enumerate(codes):  # i = k - 1
         dead = []
-        for state in live:
-            d, reps, members = state
-            q = k - 1 - d
+        for state in states:
+            d = state[0]
+            q = i - d
             p = codes[q]
             if p < 0:
                 f = first[q]
                 if f == q:
                     continue  # first sight: only links the prefix variable
                 p = codes[d + f]  # through its link
+            reps = state[1]
             ra = p if p >= 0 else reps[-1 - p]
             rb = w if w >= 0 else reps[-1 - w]
             if ra == rb:
                 continue
-            merged = add_condition(reps, members, p, w)
+            merged = add_condition(reps, state[2], p, w)
             bit = 1 << (m - d)
             if merged is None:
-                deaths[k - 1] ^= bit
+                live ^= bit
                 dead.append(state)
                 continue
             winner, moved = merged
             loser_id = moved[0]
             for vid in moved:
                 if vid != loser_id:
-                    tied[vid, loser_id][k - 1] ^= bit
+                    tied[vid, loser_id] ^= bit
                 if winner >= 0:
-                    pinned[vid, winner][k - 1] ^= bit
+                    pinned[vid, winner] ^= bit
                 else:
-                    tied[vid, -1 - winner][k - 1] ^= bit
+                    tied[vid, -1 - winner] ^= bit
         if dead:
-            live = [state for state in live if state not in dead]
-        live.append((k, start_reps.copy(), singletons.copy()))
-    return deaths, logs
+            states = [state for state in states if state not in dead]
+        states.append((i + 1, start_reps.copy(), singletons.copy()))
+        yield live, masks
 
 
 def build_table(pattern: PatternString) -> ShiftTable:

@@ -15,11 +15,12 @@ the scan, failure function and bit rows live in :mod:`vcmatch.kmp`.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .core import PatternString, TextString
-from .kmp import MACHINE_WORD, KmpEngine, ShiftTable, _flip_log
+from .kmp import MACHINE_WORD, KmpEngine, ShiftTable
 from .kmp import BitmapSet as TBitmapSet  # noqa: F401  (re-exported)
 from .kmp import build_bitmaps as build_t_bitmaps  # noqa: F401  (re-exported)
 from .naive import MatchReport
@@ -130,56 +131,61 @@ def _absorb(vc: dict, cv: dict, vp: dict, pv: dict, cp: dict, pc: dict, p: int, 
     return True
 
 
-def walk_diagonals(codes: Sequence[int], m: int, nv: int) -> tuple:
+def walk_diagonals(codes: Sequence[int], m: int, nv: int) -> Iterator[tuple[int, tuple]]:
     """Walk every pvc diagonal d in lockstep over k, adding the pair
-    (P[k-d-1], P[k-1]) to its cell; return the deaths and the (pin, tie,
-    clash) flip logs that :func:`vcmatch.kmp.diagonal_rows` builds rows from.
+    (P[k-d-1], P[k-1]) to its cell; after each k, yield the live mask and
+    the (pin, tie, clash) masks that :func:`vcmatch.kmp.diagonal_rows`
+    builds that k's rows from.
 
-    A state is (d, held, *partner maps) in the order of ``PartnerEntry``'s
-    fields, ``held`` being the pairs the cell has absorbed: classes only
-    grow, so a held pair is skipped, and a class of at most three nodes
-    holds only a few pairs.  ``_absorb`` adds at most one partner
-    to each map and never replaces one, so a map that grew holds its new
-    partner last; only those partners bring new pins and clashes.
+    A mask holds bit m - d for diagonal d; an event's mask may keep bits of
+    diagonals that died, and the reader may delete an event with no live
+    bit from its dict.  A state is (d, held, *partner maps) in the order
+    of ``PartnerEntry``'s fields, ``held`` being the pairs the cell has
+    absorbed: classes only grow, so a held pair is skipped, and a class of
+    at most three nodes holds only a few pairs.  ``_absorb`` adds at most
+    one partner to each map and never replaces one, so a map that grew
+    holds its new partner last; only those partners bring new pins and
+    clashes.
     """
-    deaths = [0] * m
-    logs = pinned, _, clashing = _flip_log(m), _flip_log(m), _flip_log(m)
+    live = (1 << m) - 1  # diagonals past k are shifted out of row k
+    masks = pinned, _, clashing = defaultdict(int), {}, defaultdict(int)
     # Pair (P[q], w) is held as keys[q] + w: codes lie in -nv .. span - nv - 1.
     span = max(codes, default=0) + 1 + nv
     keys = [(code + nv) * span + nv for code in codes]
-    live: list = []
-    for k in range(1, m + 1):
-        w = codes[k - 1]
+    states: list = []
+    for i, w in enumerate(codes):  # i = k - 1
         dead = []
-        for state in live:
-            d, held, vc, cv, vp, pv, cp, pc = state
-            q = k - 1 - d
+        for state in states:
+            d = state[0]
+            q = i - d
             pair = keys[q] + w
+            held = state[1]
             if pair in held:
                 continue
             held.add(pair)
+            _, _, vc, cv, vp, pv, cp, pc = state  # unpacked past the skip, which most pairs take
             seen_vc, seen_vp, seen_cp = len(vc), len(vp), len(cp)
             bit = 1 << (m - d)
             if not _absorb(vc, cv, vp, pv, cp, pc, codes[q], w):
-                deaths[k - 1] ^= bit
+                live ^= bit
                 dead.append(state)
                 continue
             if len(vc) > seen_vc:  # a pin
-                pinned[next(reversed(vc.items()))][k - 1] ^= bit
+                pinned[next(reversed(vc.items()))] ^= bit
             if len(vp) > seen_vp:  # a window variable met a prefix variable
                 vid, prefix = next(reversed(vp.items()))
                 for cid, other in cp.items():
                     if other != prefix:
-                        clashing[vid, cid][k - 1] ^= bit
+                        clashing[vid, cid] ^= bit
             if len(cp) > seen_cp:  # a constant met a prefix variable
                 cid, prefix = next(reversed(cp.items()))
                 for vid, other in vp.items():
                     if other != prefix:
-                        clashing[vid, cid][k - 1] ^= bit
+                        clashing[vid, cid] ^= bit
         if dead:
-            live = [state for state in live if state not in dead]
-        live.append((k, set(), {}, {}, {}, {}, {}, {}))
-    return deaths, logs
+            states = [state for state in states if state not in dead]
+        states.append((i + 1, set(), {}, {}, {}, {}, {}, {}))
+        yield live, masks
 
 
 def build_injective_table(pattern: PatternString) -> ShiftTable:

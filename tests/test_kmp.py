@@ -14,7 +14,7 @@ from vcmatch.bench import make_inputs
 from vcmatch.core import Substitution, classify_input, encode_pattern
 from vcmatch.crosscheck import generate_case
 from vcmatch.kmp import KmpEngine
-from vcmatch.kmp_fvc import build_bitmaps, build_table
+from vcmatch.kmp_fvc import FvcKmp, build_bitmaps, build_table
 from vcmatch.kmp_pvc import PvcKmp, build_injective_table, build_t_bitmaps
 from vcmatch.matchers import make_matcher
 from vcmatch.naive import naive_all
@@ -129,6 +129,25 @@ def test_long_pattern_fit_retains_one_int_per_row():
         tracemalloc.stop()
     assert engine.bitmaps.max_valid_shift(len(pattern)) == len(pattern) - 1
     assert retained < 5 * 2**20
+
+
+def test_fvc_fit_peaks_near_the_rows_it_keeps():
+    # The fit builds each prefix length's rows as its walk reaches it, so
+    # beside the rows it holds one mask per event.  A fit that holds every
+    # event's masks for all k = 1..m before building rows peaks at 1.9x the
+    # retained bytes here.
+    pattern = encode_pattern((b"a" + string.ascii_uppercase.encode()) * 20)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        engine = FvcKmp(pattern)
+        peak = tracemalloc.get_traced_memory()[1]
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert engine.bitmaps.max_valid_shift(len(pattern)) == len(pattern) - 1
+    assert peak <= 1.5 * retained, (peak, retained)
 
 
 @pytest.mark.parametrize("injective", [False, True])

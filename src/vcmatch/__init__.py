@@ -10,7 +10,7 @@ correlation method, and a single-pass scanner with bit-packed shift tables.
 from .core import InvalidInputError, PatternString, Substitution, SymbolTable, TextString, classify_input
 from .kmp import KmpEngine, ShiftTable
 from .kmp_fvc import BitmapSet, FvcKmp, add_condition, build_bitmaps, build_table, match_fvc
-from .kmp_pvc import PvcKmp, TBitmapSet, build_injective_table, build_t_bitmaps, match_pvc
+from .kmp_pvc import PvcKmp, build_injective_table, build_t_bitmaps, match_pvc
 from .matchers import (
     ConvolutionMatcher,
     KmpMatcher,

@@ -170,15 +170,9 @@ def correlate_direct(a, b) -> list[int]:
 
 
 def _text_array(text: TextString) -> np.ndarray:
-    """The text's constant ids as an array.
-
-    ``bytes`` codes are viewed in place, without a copy; the view is
-    read-only, and the searches only read it.  A tuple (ids above 255)
-    is converted.
-    """
-    if isinstance(text.codes, bytes):
-        return np.frombuffer(text.codes, dtype=np.uint8)
-    return np.asarray(text.codes, dtype=np.int64)
+    """The text's constant ids, viewed in place without a copy; the view
+    is read-only, and the searches only read it."""
+    return np.frombuffer(text.codes, dtype=np.uint8)
 
 
 def _constant_mismatch_counts(pattern: PatternString, tcodes: np.ndarray) -> np.ndarray:

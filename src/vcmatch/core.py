@@ -13,9 +13,9 @@ Constants and variables live in two disjoint, append-only registries that
 assign dense integer ids in first-appearance order.  All iteration orders
 downstream follow registration order, which keeps outputs deterministic.
 Patterns and texts store flat integer codes, the only representation of a
-symbol: a constant's id (>= 0), or ``-1 - id`` for a variable.  A pattern's
-codes are a tuple; a text's are ``bytes``, one byte per id, or a tuple only
-when a hand-built table gives some id above 255.
+symbol: a constant's id (>= 0), or ``-1 - id`` for a variable.  Registry
+keys are bytes, so there are at most 256 constants: a pattern's codes are a
+tuple, and a text's are ``bytes``, one byte per id.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ from typing import Iterable, Iterator, Mapping, Optional
 ASCII_UPPERCASE = frozenset(range(ord("A"), ord("Z") + 1))
 
 MODES = ("fvc", "pvc")
+
+_BYTE_IDS = bytes(range(256))
 
 
 class InvalidInputError(ValueError):
@@ -71,6 +73,8 @@ class SymbolTable:
     def intern_constant(self, byte: int) -> int:
         ident = self._constant_ids.get(byte)
         if ident is None:
+            if not 0 <= byte <= 255:
+                raise InvalidInputError(f"constant key {byte!r} is not a byte (0..255)")
             ident = len(self.constant_bytes)
             self._constant_ids[byte] = ident
             self.constant_bytes.append(byte)
@@ -80,6 +84,8 @@ class SymbolTable:
     def intern_variable(self, byte: int) -> int:
         ident = self._variable_ids.get(byte)
         if ident is None:
+            if not 0 <= byte <= 255:
+                raise InvalidInputError(f"variable key {byte!r} is not a byte (0..255)")
             ident = len(self.variable_bytes)
             self._variable_ids[byte] = ident
             self.variable_bytes.append(byte)
@@ -96,13 +102,10 @@ class SymbolTable:
     def _byte_translation(self) -> tuple[bytes, bytes]:
         """The byte -> constant id translate table, and the bytes it maps."""
         if self._translation is None:
-            known = {b: i for b, i in self._constant_ids.items() if 0 <= b < 256}
-            if max(known.values(), default=0) > 255:  # only after non-byte keys
-                raise InvalidInputError("a byte's constant id exceeds 255")
-            table = bytearray(256)
-            for byte, ident in known.items():
-                table[byte] = ident
-            self._translation = (bytes(table), bytes(known))
+            known = bytes(self.constant_bytes)
+            # Bytes outside ``known`` map to themselves; encode_text interns
+            # them before it translates.
+            self._translation = (bytes.maketrans(known, _BYTE_IDS[: len(known)]), known)
         return self._translation
 
 
@@ -181,30 +184,24 @@ class PatternString:
         return tuple(out)
 
 
-_BYTE_IDS = bytes(range(256))
-
-
 @dataclass(frozen=True)
 class TextString:
     """A (possibly empty) sequence of constants, stored as constant ids.
 
-    ``codes`` is ``bytes``, one byte per id, whenever every id fits a byte;
-    hand-built codes are stored that way too.  Only ids above 255, which
-    come from hand-built tables alone, keep a tuple of ints.
+    ``codes`` is ``bytes``, one byte per id; hand-built codes (any sequence
+    of ints) are checked against the table and stored that way too.
     """
 
-    codes: bytes | tuple[int, ...]
+    codes: bytes
     table: SymbolTable
 
     def __post_init__(self) -> None:
-        bound = self.table.num_constants
         try:  # C-level conversion and check for byte-sized ids
             codes = bytes(self.codes)
-        except ValueError:  # an id outside 0..255
-            codes = tuple(self.codes)
-            stray = [c for c in codes if not 0 <= c < bound]
+        except ValueError:  # an id outside 0..255, so outside any registry
+            stray = tuple(self.codes)
         else:
-            stray = codes.translate(None, _BYTE_IDS[:bound])
+            stray = codes.translate(None, _BYTE_IDS[: self.table.num_constants])
         if stray:
             if min(stray) < 0:
                 raise InvalidInputError("text must contain constants only")
@@ -225,27 +222,10 @@ class TextString:
 
 
 class Substitution:
-    """A partial map from variable ids to constant ids plus its inverse.
-
-    The inverse (constant id -> set of variable ids) is built on first use,
-    by an injective :meth:`bind`, :attr:`is_injective` or :attr:`inverse`.
-    Injective binds keep it up to date, so their conflict checks are O(1);
-    a non-injective bind drops it instead.  A map that is only compared or
-    rendered, such as a search's witness, never builds it.
-    """
+    """A partial map from variable ids to constant ids."""
 
     def __init__(self, mapping: Optional[Mapping[int, int]] = None) -> None:
         self.forward: dict[int, int] = dict(mapping) if mapping else {}
-        # An empty map's inverse costs nothing to build.
-        self._inverse: Optional[dict[int, set[int]]] = None if mapping else {}
-
-    @property
-    def inverse(self) -> dict[int, set[int]]:
-        if self._inverse is None:
-            self._inverse = {}
-            for var_id, const_id in self.forward.items():
-                self._inverse.setdefault(const_id, set()).add(var_id)
-        return self._inverse
 
     def get(self, var_id: int) -> Optional[int]:
         return self.forward.get(var_id)
@@ -270,25 +250,7 @@ class Substitution:
 
     @property
     def is_injective(self) -> bool:
-        return all(len(vs) <= 1 for vs in self.inverse.values())
-
-    def bind(self, var_id: int, const_id: int, injective: bool = False) -> bool:
-        """Try to add var -> const; return False (and change nothing) on conflict."""
-        current = self.forward.get(var_id)
-        if current is not None:
-            return current == const_id
-        if not injective:
-            self.forward[var_id] = const_id
-            self._inverse = None
-            return True
-        inverse = self._inverse
-        if inverse is None:
-            inverse = self.inverse
-        if inverse.get(const_id):
-            return False
-        self.forward[var_id] = const_id
-        inverse.setdefault(const_id, set()).add(var_id)
-        return True
+        return len(set(self.forward.values())) == len(self.forward)
 
     def copy(self) -> "Substitution":
         return Substitution(self.forward)

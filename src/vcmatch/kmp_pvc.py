@@ -21,7 +21,6 @@ from typing import Iterator, Optional, Sequence
 
 from .core import PatternString, TextString
 from .kmp import MACHINE_WORD, KmpEngine, ShiftTable
-from .kmp import BitmapSet as TBitmapSet  # noqa: F401  (re-exported)
 from .kmp import build_bitmaps as build_t_bitmaps  # noqa: F401  (re-exported)
 from .naive import MatchReport
 

@@ -30,21 +30,29 @@ def window_match(
 
     The substitution is built greedily left to right; each variable's image
     is forced by its first occurrence, so the greedy construction succeeds
-    exactly when any substitution does.  Returns the witness on success.
+    exactly when any substitution does.  Under ``injective`` a variable may
+    not take an image that another variable already holds.  Returns the
+    witness on success.
     """
     m, n = len(pattern), len(text)
     if not 1 <= start <= n - m + 1:
         raise IndexError(f"window start {start} out of range 1..{n - m + 1}")
-    pi = Substitution()
+    forward: dict[int, int] = {}
     text_codes = text.codes
-    for offset, code in enumerate(pattern.codes):
-        t = text_codes[start - 1 + offset]
+    for i, code in enumerate(pattern.codes, start - 1):
+        t = text_codes[i]
         if code >= 0:
             if code != t:
                 return False, None
-        elif not pi.bind(-1 - code, t, injective=injective):
+            continue
+        bound = forward.get(-1 - code)
+        if bound is None:
+            if injective and t in forward.values():
+                return False, None
+            forward[-1 - code] = t
+        elif bound != t:
             return False, None
-    return True, pi
+    return True, Substitution(forward)
 
 
 def naive_all(
@@ -55,9 +63,6 @@ def naive_all(
 ) -> MatchReport:
     """Check every window; O(n*m) time."""
     injective = is_injective_mode(mode)
-    # A tuple subscript is cheaper than a bytes one, so the windows read
-    # the text as a tuple, built once per search.
-    text = TextString._encoded(tuple(text.codes), text.table)
     positions: list[int] = []
     witnesses: dict[int, Substitution] = {}
     for start in range(1, len(text) - len(pattern) + 2):

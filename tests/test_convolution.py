@@ -18,9 +18,8 @@ from vcmatch.convolution import (
     variable_consistent,
     wildcard_mask,
 )
-from vcmatch.core import PatternString, SymbolTable, TextString, classify_input
+from vcmatch.core import classify_input
 from vcmatch.crosscheck import generate_case
-from vcmatch.kmp import KmpEngine
 from vcmatch.naive import naive_all, window_match
 
 
@@ -220,45 +219,6 @@ class TestConvMatchAll:
             for mode in ("fvc", "pvc"):
                 assert conv_match_all(P, T, mode).positions == naive_all(P, T, mode).positions
         assert "falling back to direct summation" in caplog.text
-
-    def test_large_alphabet_falls_back_to_direct_summation(self):
-        # More than 2**13 distinct text symbols squares past the transform
-        # guard; the backend must fall back and still agree with the oracle.
-        table = SymbolTable()
-        table.intern_variable(ord("A"))
-        n = 9000
-        ids = [table.intern_constant(i) for i in range(n)]
-        pattern = PatternString((-1, -1, 5), table)
-        text = TextString(tuple(ids), table)
-        got = conv_match_all(pattern, text, "fvc").positions
-        assert got == naive_all(pattern, text, "fvc").positions == []
-        # A planted hit: the repeated variable needs two equal text symbols.
-        planted = list(ids)
-        planted[3] = 4
-        text2 = TextString(tuple(planted), table)
-        got2 = conv_match_all(pattern, text2, "fvc").positions
-        assert got2 == naive_all(pattern, text2, "fvc").positions == [4]
-
-
-@pytest.mark.parametrize("mode", ["fvc", "pvc"])
-def test_ids_above_255_search_end_to_end(mode, caplog):
-    # A hand-built table with 9,000 constants gives ids above 255, so the
-    # text keeps a tuple of codes; conv falls back to the direct path on it,
-    # and every backend still agrees with the oracle.
-    table = SymbolTable()
-    table.intern_variable(ord("A"))
-    table.intern_variable(ord("B"))
-    ids = [table.intern_constant(i) for i in range(9000)]
-    pattern = PatternString((-1, -2, -1, 8000), table)
-    planted = ids[:400] + [300, 7000, 300, 8000] + ids[8000:8100] + [5, 5, 5, 8000]
-    text = TextString(planted, table)
-    assert type(text.codes) is tuple
-    expected = naive_all(pattern, text, mode).positions
-    assert expected == ([401, 505] if mode == "fvc" else [401])
-    with caplog.at_level(logging.DEBUG, logger="vcmatch.convolution"):
-        assert conv_match_all(pattern, text, mode).positions == expected
-    assert logged_paths(caplog) == ["fallback"]
-    assert KmpEngine(pattern, mode == "pvc").find_all(text).positions == expected
 
 
 def force_path(monkeypatch, path):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -54,6 +55,20 @@ class TestNaiveAll:
         P, T = classify("A", "a")
         with pytest.raises(ValueError):
             naive_all(P, T, "nope")
+
+    def test_holds_no_copy_of_the_text(self):
+        # 64 KiB with no match: the scan reads the text's bytes in place, so
+        # its traced peak stays below the text's own size (a tuple copy
+        # alone would take 512 KiB).
+        text = bytes(random.Random(5).choices(b"bcdefg", k=1 << 16))
+        P, T = classify("ABCa", text)
+        tracemalloc.start()
+        try:
+            assert naive_all(P, T, "pvc").positions == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16, peak
 
     def test_witnesses_reproduce_windows(self):
         P, T = classify("ABAb", "ababbbb")

@@ -3,7 +3,7 @@
 Preprocessing (fit) and query (predict) are timed separately; one warm-up
 run per combination is excluded and the minimum over the remaining repeats
 is reported.  Every query reuses one fitted matcher, so query times include
-a warm kmp failure cache and DFA table.
+a warm kmp failure cache, and a kmp scan starts in any DFA the warm-up built.
 """
 
 from __future__ import annotations

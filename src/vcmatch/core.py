@@ -227,15 +227,6 @@ class Substitution:
     def __init__(self, mapping: Optional[Mapping[int, int]] = None) -> None:
         self.forward: dict[int, int] = dict(mapping) if mapping else {}
 
-    def get(self, var_id: int) -> Optional[int]:
-        return self.forward.get(var_id)
-
-    def __contains__(self, var_id: int) -> bool:
-        return var_id in self.forward
-
-    def __len__(self) -> int:
-        return len(self.forward)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Substitution):
             return NotImplemented
@@ -251,9 +242,6 @@ class Substitution:
     @property
     def is_injective(self) -> bool:
         return len(set(self.forward.values())) == len(self.forward)
-
-    def copy(self) -> "Substitution":
-        return Substitution(self.forward)
 
     def as_char_map(self, table: SymbolTable) -> dict[str, str]:
         """Render the map with raw characters, for reports and JSON output."""

@@ -29,11 +29,11 @@ a cache flushed whenever it reaches ``FAILURE_CACHE_CAP`` entries.  Where
 failures run dense, the scan itself becomes a lazily built DFA, as in RE2
 (Cox, "Regular Expression Matching in the Wild"): its states are the scan
 states (prefix length, bindings), and each transition is filled on first
-use by one character of the plain loop.  The scan starts in the plain loop,
-hands over to the DFA once failures outnumber half of the characters read
-(from ``DFA_HANDOVER_INDEX`` on).  When the DFA's estimated size reaches
-``DFA_TABLE_BYTES``, its table is flushed, so memory stays bounded on any
-input, and the scan hands back to the plain loop for the rest of the text.
+use by one character of the plain loop.  A warm engine's scan (its table holds
+states) starts in the DFA; any other hands over once failures outnumber half
+of the characters read (from ``DFA_HANDOVER_INDEX`` on).  A table whose size
+reaches ``DFA_TABLE_BYTES`` (estimated) is flushed, so memory stays bounded on
+any input, and the scan hands back to the plain loop for the rest of the text.
 """
 
 from __future__ import annotations
@@ -53,8 +53,9 @@ from .naive import MatchReport
 MACHINE_WORD = 64
 # About 3 MiB of cached failure results with 26 variables.
 FAILURE_CACHE_CAP = 2048
-# The scan hands over to the lazy DFA at the first failure from this text
-# index on where failures outnumber half of the characters read ...
+# A cold scan (a warm one starts in the DFA) hands over to the lazy DFA at
+# the first failure from this text index on where failures outnumber half of
+# the characters read ...
 DFA_HANDOVER_INDEX = 256
 # ... and hands back for the rest of the text when the DFA's table reaches
 # DFA_TABLE_BYTES (estimated), which flushes it.  A scan whose states outgrow
@@ -421,16 +422,20 @@ class KmpEngine:
     def find_all(self, text: TextString) -> MatchReport:
         """Scan the text once, shifting through the failure rows on mismatch.
 
-        The scan starts in the plain loop (:meth:`_scan`), moves to the
-        lazy DFA (:meth:`_dfa_scan`) once failures run dense, and comes back
-        for the rest of the text if the DFA's table fills up.
+        A warm engine's scan (its DFA table holds states) starts in the lazy
+        DFA (:meth:`_dfa_scan`), logging handover=0; any other starts in the
+        plain loop (:meth:`_scan`) and moves to the DFA once failures run
+        dense.  It comes back if the table fills up, which flushes it.
         """
         m, n = len(self.pattern), len(text)
         if m > n:
             return MatchReport([])
         tcodes = text.codes
         positions: list[int] = []
-        i, k, forward = self._scan(tcodes, 0, 0, {}, positions, DFA_HANDOVER_INDEX)
+        if self._dfa is not None and self._dfa.rows:  # warm
+            i, k, forward = 0, 0, {}
+        else:
+            i, k, forward = self._scan(tcodes, 0, 0, {}, positions, DFA_HANDOVER_INDEX)
         handover = handback = None
         fills = 0
         if i < n:

@@ -498,3 +498,67 @@ def test_plain_scans_build_no_dfa(caplog):
          "table_bytes": "0"}
     ]
     assert engine._dfa is None
+
+
+@pytest.mark.parametrize("injective", [False, True])
+def test_warm_engine_starts_in_its_dfa(injective, caplog):
+    # random-narrow's shape: failures run dense, so the first scan hands
+    # over at index 256 or later; the second starts where the first left
+    # its table, in the DFA at index 0.
+    praw, traw = make_inputs(4096, 32, seed=1)
+    P, T = classify_input(praw, traw)
+    engine = KmpEngine(P, injective)
+    expected = naive_all(P, T, mode="pvc" if injective else "fvc").positions
+    with caplog.at_level(logging.DEBUG, logger="vcmatch.kmp"):
+        assert engine.find_all(T).positions == expected
+        assert engine.find_all(T).positions == expected
+    cold, warm = scan_lines(caplog)
+    assert int(cold["handover"]) >= kmp.DFA_HANDOVER_INDEX
+    assert warm["handover"] == "0" and warm["handback"] == "None"
+    assert int(warm["fills"]) <= int(cold["fills"])
+
+
+@pytest.mark.parametrize("injective", [False, True])
+def test_flushed_engine_starts_cold(injective, monkeypatch, caplog):
+    # The fresh-state text of test_dfa_table_stays_bounded fills a small
+    # table, whose flush leaves it empty: the next scan starts cold.
+    rng = random.Random(74)
+    text = "".join(rng.choice(string.ascii_lowercase[1:]) for _ in range(6000))
+    P, T = classify_input("ABCa", text)
+    monkeypatch.setattr(kmp, "DFA_TABLE_BYTES", 2**16)
+    engine = KmpEngine(P, injective)
+    with caplog.at_level(logging.DEBUG, logger="vcmatch.kmp"):
+        assert engine.find_all(T).positions == []
+        assert engine.find_all(T).positions == []
+    flushed, after = scan_lines(caplog)
+    assert flushed["handback"] != "None" and "kmp dfa flushed" in caplog.text
+    assert after["handover"] == "None" or int(after["handover"]) >= kmp.DFA_HANDOVER_INDEX
+
+
+@pytest.mark.parametrize("mode", ["fvc", "pvc"])
+def test_one_engine_across_text_shapes(mode, caplog):
+    rng = random.Random(75 + len(mode))
+    # Three variables then a constant: over "bcd" the scan reuses 27 states
+    # (dense reuse); over 25 letters nearly every state is fresh.
+    dense = bytes(rng.choice(b"bcdbcdbcda") for _ in range(3000))
+    fresh = bytes(rng.choice(string.ascii_lowercase[1:].encode()) for _ in range(12000))
+    texts = [
+        dense,
+        fresh,  # starts warm and meets fresh states until the table fills
+        b"ab",  # n < m
+        b"bcda",  # n = m
+        dense[:200],  # n < 256: a cold scan never hands over
+        dense,  # warms the table again
+        dense[:1000],
+        bytes(rng.choice(b"bcda0123") for _ in range(2000)),  # codes interned after the DFA
+    ]
+    matcher = make_matcher("kmp", mode=mode).fit(b"ABCa")
+    oracle = make_matcher("naive", mode=mode).fit(b"ABCa")
+    with caplog.at_level(logging.DEBUG, logger="vcmatch.kmp"):
+        for traw in texts:
+            assert matcher.predict(traw) == oracle.predict(traw)
+            assert matcher.engine_._dfa.nbytes < kmp.DFA_TABLE_BYTES + 1024
+    assert "kmp dfa flushed" in caplog.text
+    # "ab" logs no scan; the flush leaves the short texts after it cold.
+    handovers = [line["handover"] for line in scan_lines(caplog)]
+    assert handovers[1:4] == ["0", "None", "None"] and handovers[5:] == ["0", "0"]

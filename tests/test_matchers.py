@@ -168,3 +168,25 @@ def test_crosscheck_catches_a_wrong_witness(monkeypatch):
     agree, failure = run_crosscheck(cases=50, seed=1)
     assert failure is not None and list(failure.bad_witnesses) == ["kmp"]
     assert failure.reports["kmp"] == failure.reports["naive"]
+
+
+@pytest.mark.parametrize("corrupt", ["positions", "witnesses"])
+def test_crosscheck_catches_a_second_search_that_differs(corrupt, monkeypatch):
+    find = KmpMatcher.find
+
+    def second_differs(self, text, with_witnesses=False):
+        report = find(self, text, with_witnesses)
+        if getattr(self, "searched", False):
+            if corrupt == "positions":
+                report.positions = report.positions[1:]
+            for pi in (report.witnesses or {}).values():
+                pi.forward = {vid: cid + 1 for vid, cid in pi.forward.items()}
+        self.searched = True
+        return report
+
+    monkeypatch.setattr(KmpMatcher, "find", second_differs)
+    agree, failure = run_crosscheck(cases=50, seed=1)
+    assert failure is not None and not failure.bad_witnesses
+    assert failure.reports["kmp"] == failure.reports["naive"]
+    again = failure.reports["kmp searched again"]
+    assert again == (failure.reports["kmp"][1:] if corrupt == "positions" else failure.reports["kmp"])

@@ -495,7 +495,7 @@ def test_plain_scans_build_no_dfa(caplog):
         engine.find_all(T)
     assert scan_lines(caplog) == [
         {"n": "210", "handover": "None", "fills": "0", "handback": "None", "states": "0",
-         "table_bytes": "0"}
+         "table_bytes": "0", "skip": "off"}
     ]
     assert engine._dfa is None
 
@@ -562,3 +562,113 @@ def test_one_engine_across_text_shapes(mode, caplog):
     # "ab" logs no scan; the flush leaves the short texts after it cold.
     handovers = [line["handover"] for line in scan_lines(caplog)]
     assert handovers[1:4] == ["0", "None", "None"] and handovers[5:] == ["0", "0"]
+
+
+def sparse_text(rng: random.Random, n: int, plants: dict[int, bytes]) -> bytes:
+    """n characters over "bcdefgh", with each plant's bytes written at its
+    index (negative from the end)."""
+    text = bytearray(rng.choice(b"bcdefgh") for _ in range(n))
+    for index, plant in plants.items():
+        text[index % n : index % n + len(plant)] = plant
+    return bytes(text)
+
+
+@pytest.mark.parametrize("mode", ["fvc", "pvc"])
+@pytest.mark.parametrize(
+    "praw, plants",
+    [
+        (b"aAb", {}),  # the leading constant is absent
+        (b"aB", {-1: b"a"}),  # it is only the last byte
+        (b"a", {0: b"a", 300: b"a", 301: b"a", -1: b"a"}),  # m = 1
+        (b"abc", {17: b"abc", 200: b"ab", 400: b"abcabc", -3: b"abc"}),  # all constants
+        (b"aAbB", {5: b"acbb", 290: b"a", 333: b"adbd", -4: b"ahbc"}),  # a match ends on the last byte
+    ],
+)
+def test_skip_to_the_leading_constant_equals_the_oracle(praw, plants, mode, caplog):
+    rng = random.Random(76 + len(praw))
+    text = sparse_text(rng, 600, plants)
+    P, T = classify_input(praw, text)
+    with caplog.at_level(logging.DEBUG, logger="vcmatch.kmp"):
+        positions = KmpEngine(P, mode == "pvc").find_all(T).positions
+    assert positions == naive_all(P, T, mode=mode).positions
+    assert scan_lines(caplog)[0]["skip"] == "on"
+    if plants and plants.keys() != {-1}:
+        assert positions
+
+
+# "ab" over the hand-over text of test_dfa_hand_over_after_a_mismatch_and_after_a_match,
+# then a tail sparse in "a" that holds three matches, the last at its end.
+HANDOVER_THEN_SPARSE = (
+    b"c" * 300 + b"a" * 301 + b"b" + b"aab" + b"a" * 100 + b"ab"
+    + sparse_text(random.Random(77), 4000, {10: b"ab", 2000: b"a", 3001: b"ab", -2: b"ab"})
+)
+# As SKIP_DENSITY: a leading constant that occurs at all is too dense to skip to.
+NEVER_SKIP = 10**9
+
+
+@pytest.mark.parametrize("injective", [False, True])
+def test_skip_keeps_the_hand_over_index(injective, monkeypatch, caplog):
+    P, T = classify_input(b"ab", HANDOVER_THEN_SPARSE)
+    with caplog.at_level(logging.DEBUG, logger="vcmatch.kmp"):
+        on = KmpEngine(P, injective).find_all(T).positions
+        monkeypatch.setattr(kmp, "SKIP_DENSITY", NEVER_SKIP)
+        off = KmpEngine(P, injective).find_all(T).positions
+    assert on == off == naive_all(P, T, mode="pvc" if injective else "fvc").positions
+    with_skip, without = scan_lines(caplog)
+    assert (with_skip.pop("skip"), without.pop("skip")) == ("on", "off")
+    assert with_skip == without and with_skip["handover"] == "603"
+
+
+@pytest.mark.parametrize("mode", ["fvc", "pvc"])
+def test_skip_after_a_flush_hands_back(mode, monkeypatch, caplog):
+    P, T = classify_input(b"ab", HANDOVER_THEN_SPARSE)
+    monkeypatch.setattr(kmp, "DFA_TABLE_BYTES", 1)  # the table is full at its first fill
+    with caplog.at_level(logging.DEBUG, logger="vcmatch.kmp"):
+        positions = KmpEngine(P, mode == "pvc").find_all(T).positions
+    assert positions == naive_all(P, T, mode=mode).positions
+    assert positions[-1] == len(T) - 1  # 1-based: the match ends on the last byte
+    (line,) = scan_lines(caplog)
+    assert line["skip"] == "on" and line["handover"] == line["handback"] == "603"
+
+
+@pytest.mark.parametrize("mode", ["fvc", "pvc"])
+def test_skip_visits_the_same_states(mode, monkeypatch, caplog):
+    # Random patterns that open with a constant, over texts sparse in it,
+    # some with a dense stretch that hands over: the skip removes only
+    # mismatches at k = 0, so every scan line and failure cache is the
+    # same with it as without it.
+    runs = {}
+    for density in (kmp.SKIP_DENSITY, NEVER_SKIP):
+        monkeypatch.setattr(kmp, "SKIP_DENSITY", density)
+        case_rng = random.Random(78 + len(mode))
+        caplog.clear()
+        caches = []
+        with caplog.at_level(logging.DEBUG, logger="vcmatch.kmp"):
+            for _ in range(12):
+                praw = b"a" + generate_case(case_rng, max_m=8, repeat_bias=True)[0]
+                dense = bytes(case_rng.choice(b"ab") for _ in range(case_rng.choice([0, 400])))
+                traw = dense + bytes(case_rng.choice(b"abcdefghijklmnop") for _ in range(3000))
+                matcher = make_matcher("kmp", mode=mode).fit(praw)
+                assert matcher.predict(traw) == make_matcher("naive", mode=mode).fit(praw).predict(traw)
+                caches.append(dict(matcher.engine_._failure_cache))
+        runs[density] = scan_lines(caplog), caches
+    (on_lines, on_caches), (off_lines, off_caches) = runs.values()
+    assert {line.pop("skip") for line in on_lines} == {"on"}
+    assert {line.pop("skip") for line in off_lines} == {"off"}
+    assert on_lines == off_lines and on_caches == off_caches
+    assert any(line["handover"] != "None" for line in on_lines)
+
+
+@pytest.mark.parametrize(
+    "praw, traw",
+    [
+        (b"ab", b"abcd" * 100),  # a dense leading constant (1 in 4)
+        (b"Ab", b"bcdefgh" * 100),  # a leading variable
+        (b"ab", b"bcdefgh" * 36),  # a text under 256 characters
+    ],
+)
+def test_skip_stays_off(praw, traw, caplog):
+    P, T = classify_input(praw, traw)
+    with caplog.at_level(logging.DEBUG, logger="vcmatch.kmp"):
+        assert KmpEngine(P, False).find_all(T).positions == naive_all(P, T).positions
+    assert scan_lines(caplog)[0]["skip"] == "off"

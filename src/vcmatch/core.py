@@ -95,12 +95,9 @@ class SymbolTable:
         """Constant codes of a raw text, one byte per id, interning its
         unseen bytes first (in first-appearance order)."""
         unseen = raw.translate(None, self._byte_translation()[1])
-        # Past the alphabet's size, deleting the complement finds the
-        # distinct bytes in C; a short remainder is cheaper as a set.
-        if len(unseen) > len(_BYTE_IDS):
-            fresh = _BYTE_IDS.translate(None, _BYTE_IDS.translate(None, unseen))
-        else:
-            fresh = set(unseen)
+        # The byte values left after deleting those the remainder lacks are
+        # its distinct bytes, found in C at any length.
+        fresh = _BYTE_IDS.translate(None, _BYTE_IDS.translate(None, unseen))
         for byte in sorted(fresh, key=unseen.find):
             self.intern_constant(byte)
         return raw.translate(self._byte_translation()[0])

@@ -37,11 +37,11 @@ any input, and the scan hands back to the plain loop for the rest of the text.
 
 The scan leaves state k = 0 only on a character that fits the pattern's
 first symbol.  When that symbol is a constant and under 1 in ``SKIP_DENSITY``
-characters of a text of at least ``DFA_HANDOVER_INDEX`` are that constant,
-the plain loop jumps from a mismatch at k = 0 to its next occurrence with
-``bytes.find``, as RE2 runs memchr on a start state's first byte.  It skips
-only k = 0 mismatches, so the scan visits the same states, computes the
-same failures and hands over at the same index as without the jump.
+characters of the text are that constant, the plain loop jumps from a
+mismatch at k = 0 to its next occurrence with ``bytes.find``, as RE2 runs
+memchr on a start state's first byte.  It skips only k = 0 mismatches, so
+the scan visits the same states, computes the same failures and hands over
+at the same index as without the jump.
 """
 
 from __future__ import annotations
@@ -75,6 +75,7 @@ DFA_TABLE_BYTES = 1 << 19
 # SKIP_DENSITY characters of the text are that constant.  A jump costs a few
 # plain steps: searches of 32 KiB texts (CPython 3.11, 2 vCPUs) read x0.84-0.97
 # with it at 1 in 8 and x0.41-0.70 at 1 in 32, but x0.96-1.20 at 1 in 2 to 4.
+# Texts of 1-50 characters (perfbench's crosscheck-tiny) read level with it.
 SKIP_DENSITY = 8
 # Estimated bytes of a state beyond its key's values and row's entries (the
 # tuple and list headers and a dict slot), and of an edge completing a match.
@@ -442,22 +443,22 @@ class KmpEngine:
         A warm engine's scan (its DFA table holds states) starts in the lazy
         DFA (:meth:`_dfa_scan`), logging handover=0; any other starts in the
         plain loop (:meth:`_scan`) and moves to the DFA once failures run
-        dense.  It comes back if the table fills up, which flushes it.  Both
-        plain loops jump to the leading constant when it is sparse in a
-        text of at least ``DFA_HANDOVER_INDEX`` characters, decided once
-        per search and logged as skip=on or skip=off.
+        dense.  It comes back if the table fills up, which flushes it.  The
+        plain loops jump to the leading constant when it is sparse in the
+        text (:meth:`_skip_lead`), decided when the search's first plain
+        loop starts and logged as skip=on or skip=off; a warm search that
+        never hands back runs no plain loop and logs skip=off.
         """
         m, n = len(self.pattern), len(text)
         if m > n:
             return MatchReport([])
         tcodes = text.codes
-        lead = self._lead
-        if lead is not None and (n < DFA_HANDOVER_INDEX or tcodes.count(lead) * SKIP_DENSITY >= n):
-            lead = None
         positions: list[int] = []
-        if self._dfa is not None and self._dfa.rows:  # warm
-            i, k, forward = 0, 0, {}
+        warm = self._dfa is not None and bool(self._dfa.rows)  # a flush empties rows
+        if warm:
+            i, k, forward, lead = 0, 0, {}, None
         else:
+            lead = self._skip_lead(tcodes)
             i, k, forward = self._scan(tcodes, 0, 0, {}, positions, DFA_HANDOVER_INDEX, lead)
         handover = handback = None
         fills = 0
@@ -466,6 +467,8 @@ class KmpEngine:
             i, k, forward, fills = self._dfa_scan(text, i, k, forward, positions)
             if i < n:
                 handback = i
+                if warm:
+                    lead = self._skip_lead(tcodes)
                 self._scan(tcodes, i, k, forward, positions, n + 1, lead)
         if logger.isEnabledFor(logging.DEBUG):
             dfa = self._dfa
@@ -477,6 +480,14 @@ class KmpEngine:
                 "off" if lead is None else "on",
             )
         return MatchReport(positions)
+
+    def _skip_lead(self, tcodes: bytes) -> Optional[bytes]:
+        """The leading constant for the plain loop to jump to: ``_lead`` when
+        fewer than 1 in ``SKIP_DENSITY`` characters of the text are it."""
+        lead = self._lead
+        if lead is not None and tcodes.count(lead) * SKIP_DENSITY >= len(tcodes):
+            return None
+        return lead
 
     def _scan(
         self, tcodes: Sequence[int], i: int, k: int, forward: dict[int, int],

@@ -566,7 +566,7 @@ def test_one_engine_across_text_shapes(mode, caplog):
 
 def sparse_text(rng: random.Random, n: int, plants: dict[int, bytes]) -> bytes:
     """n characters over "bcdefgh", with each plant's bytes written at its
-    index (negative from the end)."""
+    index modulo n (so negative from the end)."""
     text = bytearray(rng.choice(b"bcdefgh") for _ in range(n))
     for index, plant in plants.items():
         text[index % n : index % n + len(plant)] = plant
@@ -574,6 +574,7 @@ def sparse_text(rng: random.Random, n: int, plants: dict[int, bytes]) -> bytes:
 
 
 @pytest.mark.parametrize("mode", ["fvc", "pvc"])
+@pytest.mark.parametrize("n", [40, 600])  # the gate is the density alone, at any length
 @pytest.mark.parametrize(
     "praw, plants",
     [
@@ -584,9 +585,9 @@ def sparse_text(rng: random.Random, n: int, plants: dict[int, bytes]) -> bytes:
         (b"aAbB", {5: b"acbb", 290: b"a", 333: b"adbd", -4: b"ahbc"}),  # a match ends on the last byte
     ],
 )
-def test_skip_to_the_leading_constant_equals_the_oracle(praw, plants, mode, caplog):
+def test_skip_to_the_leading_constant_equals_the_oracle(praw, plants, n, mode, caplog):
     rng = random.Random(76 + len(praw))
-    text = sparse_text(rng, 600, plants)
+    text = sparse_text(rng, n, plants)
     P, T = classify_input(praw, text)
     with caplog.at_level(logging.DEBUG, logger="vcmatch.kmp"):
         positions = KmpEngine(P, mode == "pvc").find_all(T).positions
@@ -664,7 +665,6 @@ def test_skip_visits_the_same_states(mode, monkeypatch, caplog):
     [
         (b"ab", b"abcd" * 100),  # a dense leading constant (1 in 4)
         (b"Ab", b"bcdefgh" * 100),  # a leading variable
-        (b"ab", b"bcdefgh" * 36),  # a text under 256 characters
     ],
 )
 def test_skip_stays_off(praw, traw, caplog):
@@ -672,3 +672,21 @@ def test_skip_stays_off(praw, traw, caplog):
     with caplog.at_level(logging.DEBUG, logger="vcmatch.kmp"):
         assert KmpEngine(P, False).find_all(T).positions == naive_all(P, T).positions
     assert scan_lines(caplog)[0]["skip"] == "off"
+
+
+@pytest.mark.parametrize("mode", ["fvc", "pvc"])
+def test_warm_search_decides_the_skip_at_its_hand_back(mode, monkeypatch, caplog):
+    # A warm start reads every character in the DFA and logs skip=off; a
+    # warm scan whose table fills hands back to a plain loop that skips.
+    naive = make_matcher("naive", mode=mode).fit(b"ab")
+    matcher = make_matcher("kmp", mode=mode).fit(b"ab")
+    fresh = b"q" + HANDOVER_THEN_SPARSE  # "q" is a new code: its entry needs a fill
+    with caplog.at_level(logging.DEBUG, logger="vcmatch.kmp"):
+        for traw in (HANDOVER_THEN_SPARSE, HANDOVER_THEN_SPARSE):
+            assert matcher.predict(traw) == naive.predict(traw)
+        monkeypatch.setattr(kmp, "DFA_TABLE_BYTES", 1)
+        assert matcher.predict(fresh) == naive.predict(fresh)
+    cold, warm, flushed = scan_lines(caplog)
+    assert (cold["handover"], cold["skip"]) == ("603", "on")
+    assert (warm["handover"], warm["handback"], warm["skip"]) == ("0", "None", "off")
+    assert (flushed["handover"], flushed["handback"], flushed["skip"]) == ("0", "0", "on")

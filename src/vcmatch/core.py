@@ -20,7 +20,6 @@ tuple, and a text's are ``bytes``, one byte per id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -29,6 +28,24 @@ ASCII_UPPERCASE = frozenset(range(ord("A"), ord("Z") + 1))
 MODES = ("fvc", "pvc")
 
 _BYTE_IDS = bytes(range(256))
+
+
+class Record:
+    """Equality and repr over the attributes named in ``_fields``, as a
+    dataclass has them.  The search path builds its records on this rather
+    than on ``dataclasses``, whose import loads ``inspect`` and costs a
+    ``vcmatch find`` process milliseconds of start-up."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
 class InvalidInputError(ValueError):
@@ -134,22 +151,22 @@ def normalize_charset(variable_charset=None) -> frozenset[int]:
     return values
 
 
-@dataclass(frozen=True)
-class PatternString:
+class PatternString(Record):
     """A non-empty sequence of constants and variables plus derived indexes.
 
     ``codes`` holds a constant's id (>= 0) or ``-1 - id`` for a variable.
     """
 
-    codes: tuple[int, ...]
-    table: SymbolTable
+    _fields = ("codes", "table")
 
-    def __post_init__(self) -> None:
-        if not self.codes:
+    def __init__(self, codes: tuple[int, ...], table: SymbolTable) -> None:
+        if not codes:
             raise InvalidInputError("pattern must be non-empty")
-        for code in (min(self.codes), max(self.codes)):
-            if not -self.table.num_variables <= code < self.table.num_constants:
+        for code in (min(codes), max(codes)):
+            if not -table.num_variables <= code < table.num_constants:
                 raise InvalidInputError(f"code {code} out of registry range")
+        self.codes = codes
+        self.table = table
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -187,37 +204,36 @@ class PatternString:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class TextString:
+class TextString(Record):
     """A (possibly empty) sequence of constants, stored as constant ids.
 
     ``codes`` is ``bytes``, one byte per id; hand-built codes (any sequence
     of ints) are checked against the table and stored that way too.
     """
 
-    codes: bytes
-    table: SymbolTable
+    _fields = ("codes", "table")
 
-    def __post_init__(self) -> None:
+    def __init__(self, codes, table: SymbolTable) -> None:
         try:  # C-level conversion and check for byte-sized ids
-            codes = bytes(self.codes)
+            checked = bytes(codes)
         except ValueError:  # an id outside 0..255, so outside any registry
-            stray = tuple(self.codes)
+            stray = tuple(codes)
         else:
-            stray = codes.translate(None, _BYTE_IDS[: self.table.num_constants])
+            stray = checked.translate(None, _BYTE_IDS[: table.num_constants])
         if stray:
             if min(stray) < 0:
                 raise InvalidInputError("text must contain constants only")
             raise InvalidInputError(f"code {max(stray)} out of registry range")
-        object.__setattr__(self, "codes", codes)
+        self.codes = checked
+        self.table = table
 
     @classmethod
     def _encoded(cls, codes: bytes, table: SymbolTable) -> "TextString":
         """A text from :meth:`SymbolTable.encode_text`, whose codes are valid
-        by construction, so the checks of ``__post_init__`` are skipped."""
+        by construction, so the checks of ``__init__`` are skipped."""
         text = object.__new__(cls)
-        object.__setattr__(text, "codes", codes)
-        object.__setattr__(text, "table", table)
+        text.codes = codes
+        text.table = table
         return text
 
     def __len__(self) -> int:

@@ -50,10 +50,9 @@ import logging
 import sys
 import time
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .core import PatternString, Substitution, TextString
+from .core import PatternString, Record, Substitution, TextString
 from .naive import MatchReport
 
 # The default chunk_width.  The fit checks it (>= 1), but it does not shape
@@ -125,8 +124,7 @@ class ShiftTable:
         return self.entries[k][j] is not None
 
 
-@dataclass
-class BitmapSet:
+class BitmapSet(Record):
     """Bit-packed shift rows, one k-bit row family per prefix length k.
 
     * ``valid[k]``: bit j set iff cell (k, j) is alive: the live row.
@@ -148,10 +146,15 @@ class BitmapSet:
     int, bit j for shift j; rows may be shared.
     """
 
-    valid: list
-    allow_value: list
-    allow_value_default: list
-    allow_distinct: Optional[list]
+    _fields = ("valid", "allow_value", "allow_value_default", "allow_distinct")
+
+    def __init__(
+        self, valid: list, allow_value: list, allow_value_default: list, allow_distinct: Optional[list]
+    ) -> None:
+        self.valid = valid
+        self.allow_value = allow_value
+        self.allow_value_default = allow_value_default
+        self.allow_distinct = allow_distinct
 
     def max_valid_shift(self, k: int) -> int:
         """Largest live shift for prefix length k (the border length for
@@ -272,7 +275,8 @@ def diagonal_rows(
     """
     if chunk_width < 1:
         raise ValueError("chunk_width must be positive")
-    # The cell rules build on this module, so they are imported on use.
+    # The cell rules build on this module, so they are imported on use;
+    # vcmatch.matchers loads both up front, so this finds them loaded.
     if injective:
         from .kmp_pvc import walk_diagonals
     else:

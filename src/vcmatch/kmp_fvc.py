@@ -10,17 +10,15 @@ the scan, failure function and bit rows live in :mod:`vcmatch.kmp`.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .core import PatternString, TextString
+from .core import PatternString, Record, TextString
 from .kmp import MACHINE_WORD, KmpEngine, ShiftTable
 from .kmp import BitmapSet, build_bitmaps  # noqa: F401  (re-exported)
 from .naive import MatchReport
 
 
-@dataclass(frozen=True)
-class ConditionEntry:
+class ConditionEntry(Record):
     """Merge-class summary for one (prefix length, shift) cell.
 
     ``reps[v]`` is the class representative of variable v, as a symbol code
@@ -30,9 +28,17 @@ class ConditionEntry:
     shift.  ``members[v]`` lists the variables currently represented by v.
     """
 
-    reps: tuple[int, ...]
-    prefix_links: dict[int, int]
-    members: tuple[tuple[int, ...], ...]
+    _fields = ("reps", "prefix_links", "members")
+
+    def __init__(
+        self,
+        reps: tuple[int, ...],
+        prefix_links: dict[int, int],
+        members: tuple[tuple[int, ...], ...],
+    ) -> None:
+        self.reps = reps
+        self.prefix_links = prefix_links
+        self.members = members
 
     @classmethod
     def start(cls, num_variables: int) -> "ConditionEntry":

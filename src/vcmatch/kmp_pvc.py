@@ -16,34 +16,43 @@ the scan, failure function and bit rows live in :mod:`vcmatch.kmp`.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
-from .core import PatternString, TextString
+from .core import PatternString, Record, TextString
 from .kmp import MACHINE_WORD, KmpEngine, ShiftTable
 from .kmp import build_bitmaps as build_t_bitmaps  # noqa: F401  (re-exported)
 from .naive import MatchReport
 
 
-@dataclass
-class PartnerEntry:
+class PartnerEntry(Record):
     """Partner maps of one live cell; every class has <= 3 nodes.
 
     Window variables, prefix variables, and constants are linked pairwise;
     missing keys mean "no partner of that kind".
     """
 
-    var_const: dict[int, int] = field(default_factory=dict)
-    const_var: dict[int, int] = field(default_factory=dict)
-    var_prefix: dict[int, int] = field(default_factory=dict)
-    prefix_var: dict[int, int] = field(default_factory=dict)
-    const_prefix: dict[int, int] = field(default_factory=dict)
-    prefix_const: dict[int, int] = field(default_factory=dict)
+    _fields = ("var_const", "const_var", "var_prefix", "prefix_var", "const_prefix", "prefix_const")
+
+    def __init__(
+        self,
+        var_const: dict[int, int],
+        const_var: dict[int, int],
+        var_prefix: dict[int, int],
+        prefix_var: dict[int, int],
+        const_prefix: dict[int, int],
+        prefix_const: dict[int, int],
+    ) -> None:
+        self.var_const = var_const
+        self.const_var = const_var
+        self.var_prefix = var_prefix
+        self.prefix_var = prefix_var
+        self.const_prefix = const_prefix
+        self.prefix_const = prefix_const
 
     @classmethod
     def start(cls, num_variables: int) -> "PartnerEntry":
         """The shift-0 cell: no partners."""
-        return cls()
+        return cls({}, {}, {}, {}, {}, {})
 
     def extend(self, prefix_code: int, window_code: int) -> Optional["PartnerEntry"]:
         """This cell with one more aligned pair; None if that kills it."""

@@ -8,10 +8,10 @@ stored verbatim by ``__init__``, ``fit`` compiles the pattern and returns
 
 from __future__ import annotations
 
-import inspect
 from functools import cache
 from typing import Union
 
+from . import kmp_fvc, kmp_pvc  # noqa: F401  (the cell rules: loaded here, so no fit imports them)
 from .core import Substitution, TextString, encode_pattern, encode_text, is_injective_mode
 from .kmp import KmpEngine
 from .naive import MatchReport, naive_all
@@ -45,11 +45,10 @@ class BaseMatcher:
         self.variables = variables
 
     def get_params(self, deep: bool = True) -> dict:
-        names = [
-            p.name
-            for p in inspect.signature(type(self).__init__).parameters.values()
-            if p.name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
-        ]
+        # The named parameters of __init__ past self: its code object lists
+        # them first, ahead of any *args, **kwargs and locals.
+        code = type(self).__init__.__code__
+        names = code.co_varnames[1 : code.co_argcount + code.co_kwonlyargcount]
         return {name: getattr(self, name) for name in names}
 
     def set_params(self, **params) -> "BaseMatcher":

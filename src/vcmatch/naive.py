@@ -6,18 +6,21 @@ that the fast backends are cross-checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .core import PatternString, Substitution, TextString, is_injective_mode
+from .core import PatternString, Record, Substitution, TextString, is_injective_mode
 
 
-@dataclass
-class MatchReport:
+class MatchReport(Record):
     """Sorted 1-based match positions plus optional per-position witnesses."""
 
-    positions: list[int]
-    witnesses: Optional[dict[int, Substitution]] = None
+    _fields = ("positions", "witnesses")
+
+    def __init__(
+        self, positions: list[int], witnesses: Optional[dict[int, Substitution]] = None
+    ) -> None:
+        self.positions = positions
+        self.witnesses = witnesses
 
 
 def window_match(

@@ -282,23 +282,23 @@ class TestCrosscheck:
         assert capsys.readouterr().out == first
 
     def test_disagreement_reported_with_exit_1(self, capsys, monkeypatch):
-        from vcmatch import cli as cli_mod
+        from vcmatch import crosscheck  # _cmd_crosscheck imports run_crosscheck from here
         from vcmatch.crosscheck import Disagreement
 
         failure = Disagreement(3, b"AB", b"ab", "fvc", {"naive": [1], "conv": [1], "kmp": []})
-        monkeypatch.setattr(cli_mod, "run_crosscheck", lambda **kw: (3, failure))
+        monkeypatch.setattr(crosscheck, "run_crosscheck", lambda **kw: (3, failure))
         code = main(["crosscheck", "--cases", "10"])
         assert code == 1
         out = capsys.readouterr().out
         assert "3/10 agree" in out and "kmp: []" in out
 
     def test_witness_disagreement_reported_with_exit_1(self, capsys, monkeypatch):
-        from vcmatch import cli as cli_mod
+        from vcmatch import crosscheck  # _cmd_crosscheck imports run_crosscheck from here
         from vcmatch.crosscheck import Disagreement
 
         reports = {"naive": [1], "conv": [1], "kmp": [1]}
         failure = Disagreement(0, b"AB", b"ab", "pvc", reports, {"conv": [1]})
-        monkeypatch.setattr(cli_mod, "run_crosscheck", lambda **kw: (0, failure))
+        monkeypatch.setattr(crosscheck, "run_crosscheck", lambda **kw: (0, failure))
         assert main(["crosscheck", "--cases", "10"]) == 1
         assert "conv witnesses differ from window_match at: [1]" in capsys.readouterr().out
 

@@ -34,6 +34,7 @@ class TestEstimatorSurface:
         matcher = cls(mode="pvc")
         params = matcher.get_params()
         assert params["mode"] == "pvc"
+        assert list(params) == ["mode", "variables"] + (["chunk_width"] if cls is KmpMatcher else [])
         clone = cls(**params)
         assert clone.get_params() == params
         assert clone.fit("ABAb").predict("ababbbb") == [1, 2]

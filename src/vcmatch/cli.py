@@ -16,7 +16,6 @@ import os
 import string
 import sys
 import time
-from typing import Optional
 
 from .core import MODES
 from .matchers import ALGORITHMS, make_matcher
@@ -150,7 +149,7 @@ def _cmd_find(args, freeze: bool) -> int:
     algos = list(ALGORITHMS) if args.algo == "all" else [args.algo]
     reports = {}
     timings = {}
-    witnesses: Optional[dict] = None
+    witnesses: dict | None = None
     try:
         for algo in algos:
             matcher = make_matcher(

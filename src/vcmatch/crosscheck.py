@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .core import MODES, encode_text
 from .matchers import ALGORITHMS, make_matcher
@@ -78,7 +77,7 @@ def run_crosscheck(
     num_constants: int = 3,
     adversarial: bool = False,
     chunk_width: int = 64,
-) -> tuple[int, Optional[Disagreement]]:
+) -> tuple[int, Disagreement | None]:
     """Run all backends in both modes on ``cases`` random instances.
 
     A case agrees when every backend reports naive's positions with a

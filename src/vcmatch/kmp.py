@@ -50,7 +50,7 @@ import logging
 import sys
 import time
 from collections import defaultdict
-from typing import Iterable, Optional, Sequence
+from collections.abc import Iterable, Sequence
 
 from .core import PatternString, Record, Substitution, TextString
 from .naive import MatchReport
@@ -90,11 +90,7 @@ def shift_rows(pattern: PatternString, injective: bool) -> Iterable[list]:
     Cell (k, j) is cell (k-1, j-1) with prefix position j aligned under
     window position k, so only the previous row is kept.
     """
-    # The cell rules build on this module, so they are imported on use.
-    if injective:
-        from .kmp_pvc import PartnerEntry as cell_type
-    else:
-        from .kmp_fvc import ConditionEntry as cell_type
+    cell_type = kmp_pvc.PartnerEntry if injective else kmp_fvc.ConditionEntry
     codes = pattern.codes
     start = cell_type.start(pattern.table.num_variables)
     row: list = []
@@ -149,7 +145,7 @@ class BitmapSet(Record):
     _fields = ("valid", "allow_value", "allow_value_default", "allow_distinct")
 
     def __init__(
-        self, valid: list, allow_value: list, allow_value_default: list, allow_distinct: Optional[list]
+        self, valid: list, allow_value: list, allow_value_default: list, allow_distinct: list | None
     ) -> None:
         self.valid = valid
         self.allow_value = allow_value
@@ -172,23 +168,30 @@ def _add_rows(bitmaps: BitmapSet, k: int, live: int, masks: tuple, shift: int) -
     whose classes of v and c hold different prefix variables.  An event
     mask's bits of dead cells are ignored, and a key with none on a live
     cell is deleted from its dict.  Each row is stored only where it
-    differs from the row a lookup would otherwise use.
+    differs from the row a lookup would otherwise use.  An empty event dict
+    costs a test, so a prefix length without events costs a few stores.
     """
     pinned, tied, clashing = masks
     alive = live >> shift
     bitmaps.valid[k] = alive
-    values = _row_marks(pinned, live, shift)
-    # Per pinned variable, the live cells pinning it to no constant: pins
-    # are live cells, and one cell pins a variable at most once.
+    values: dict[tuple[int, int], int] = {}
     unpinned: dict[int, int] = {}
-    for (vid, _), marks in values.items():
-        unpinned[vid] = unpinned.get(vid, alive) ^ marks
-    # A variable pinned to one constant only may take that one wherever it
-    # is live: its value row is the live row itself.  A pinned value row
-    # differs from v's default row, which clears the pin.
-    for key, marks in values.items():
-        row = marks | unpinned[key[0]]
-        values[key] = alive if row == alive else row
+    if pinned:
+        # Per pinned variable, the live cells pinning it to no constant:
+        # pins are live cells, and one cell pins a variable at most once.
+        for key, mask in pinned.items():
+            mask &= live
+            if mask:
+                marks = values[key] = mask >> shift
+                unpinned[key[0]] = unpinned.get(key[0], alive) ^ marks
+        if len(values) < len(pinned):
+            _drop_dead(pinned, values)
+        # A variable pinned to one constant only may take that one wherever
+        # it is live: its value row is the live row itself.  A pinned value
+        # row differs from v's default row, which clears the pin.
+        for key, marks in values.items():
+            row = marks | unpinned[key[0]]
+            values[key] = alive if row == alive else row
     if clashing:
         for key, marks in _row_marks(clashing, live, shift).items():
             default = unpinned.get(key[0], alive)
@@ -200,9 +203,11 @@ def _add_rows(bitmaps: BitmapSet, k: int, live: int, masks: tuple, shift: int) -
     bitmaps.allow_value[k] = values
     bitmaps.allow_value_default[k] = unpinned
     if bitmaps.allow_distinct is not None:
-        ties = _row_marks(tied, live, shift) if tied else {}
-        for key, marks in ties.items():
-            ties[key] = alive ^ marks
+        ties = {}
+        if tied:
+            ties = _row_marks(tied, live, shift)
+            for key, marks in ties.items():
+                ties[key] = alive ^ marks
         bitmaps.allow_distinct[k] = ties
 
 
@@ -215,14 +220,20 @@ def _row_marks(masks: dict, live: int, shift: int) -> dict:
         if mask:
             marks[key] = mask >> shift
     if len(marks) < len(masks):
-        for key in masks.keys() - marks.keys():
-            del masks[key]
+        _drop_dead(masks, marks)
     return marks
+
+
+def _drop_dead(masks: dict, marks: dict) -> None:
+    """Delete the event keys of ``masks`` that ``marks`` lacks."""
+    for key in masks.keys() - marks.keys():
+        del masks[key]
 
 
 def _unfilled_rows(m: int, injective: bool) -> BitmapSet:
     """A :class:`BitmapSet` with a slot per prefix length 1..m."""
-    return BitmapSet(*([None] * (m + 1) for _ in range(3)), None if injective else [None] * (m + 1))
+    slots = [None] * (m + 1)
+    return BitmapSet(slots, slots.copy(), slots.copy(), None if injective else slots.copy())
 
 
 def flatten_rows(
@@ -275,15 +286,9 @@ def diagonal_rows(
     """
     if chunk_width < 1:
         raise ValueError("chunk_width must be positive")
-    # The cell rules build on this module, so they are imported on use;
-    # vcmatch.matchers loads both up front, so this finds them loaded.
-    if injective:
-        from .kmp_pvc import walk_diagonals
-    else:
-        from .kmp_fvc import walk_diagonals
     m = len(pattern)
     bitmaps = _unfilled_rows(m, injective)
-    walk = walk_diagonals(pattern.codes, m, pattern.table.num_variables)
+    walk = (kmp_pvc if injective else kmp_fvc).walk_diagonals(pattern)
     for k, (live, masks) in enumerate(walk, 1):
         _add_rows(bitmaps, k, live, masks, m - k)
     return bitmaps
@@ -373,11 +378,10 @@ class KmpEngine:
         # Per shift j, each prefix variable with its first position: after
         # shift j of prefix length k it takes the window code at
         # k - j + that position.
-        firsts = pattern.first_occurrences
-        self._link_sources = [firsts[: len(vids)] for vids in pattern.variables_by_prefix]
+        self._link_sources = pattern.index_prefixes()[2]
         # (k, *binding values in variables_by_prefix[k] order) -> (j, succeeding)
         self._failure_cache: dict[tuple, tuple[int, dict[int, int]]] = {}
-        self._dfa: Optional[_Dfa] = None  # built by the first scan that hands over
+        self._dfa: _Dfa | None = None  # built by the first scan that hands over
         # The leading constant's text code as 1 byte (None for a leading
         # variable): the plain loop's jump target.
         lead = pattern.codes[0]
@@ -485,7 +489,7 @@ class KmpEngine:
             )
         return MatchReport(positions)
 
-    def _skip_lead(self, tcodes: bytes) -> Optional[bytes]:
+    def _skip_lead(self, tcodes: bytes) -> bytes | None:
         """The leading constant for the plain loop to jump to: ``_lead`` when
         fewer than 1 in ``SKIP_DENSITY`` characters of the text are it."""
         lead = self._lead
@@ -495,7 +499,7 @@ class KmpEngine:
 
     def _scan(
         self, tcodes: Sequence[int], i: int, k: int, forward: dict[int, int],
-        positions: list[int], handover_at: int, lead: Optional[bytes] = None,
+        positions: list[int], handover_at: int, lead: bytes | None = None,
     ) -> tuple[int, int, dict[int, int]]:
         """The plain loop over ``tcodes[i:]`` from scan state (k, forward).
 
@@ -629,3 +633,8 @@ class KmpEngine:
         else:
             row[code] = target
         return target, bool(matched)
+
+
+# The cell rules build on this module, so they are imported once it is
+# complete; a fit then finds its rule's walk without an import statement.
+from . import kmp_fvc, kmp_pvc  # noqa: E402

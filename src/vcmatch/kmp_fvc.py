@@ -9,8 +9,7 @@ the scan, failure function and bit rows live in :mod:`vcmatch.kmp`.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Iterator, Optional, Sequence
+from collections.abc import Iterator, Sequence
 
 from .core import PatternString, Record, TextString
 from .kmp import MACHINE_WORD, KmpEngine, ShiftTable
@@ -49,7 +48,7 @@ class ConditionEntry(Record):
             members=tuple((vid,) for vid in range(num_variables)),
         )
 
-    def extend(self, prefix_code: int, window_code: int) -> Optional["ConditionEntry"]:
+    def extend(self, prefix_code: int, window_code: int) -> ConditionEntry | None:
         """This cell with one more aligned pair; None if that kills it."""
         if prefix_code < 0:
             pid = -1 - prefix_code
@@ -81,7 +80,7 @@ class ConditionEntry(Record):
 
 def add_condition(
     reps: list[int], members: list[Sequence[int]], a: int, b: int
-) -> Optional[tuple[int, Sequence[int]]]:
+) -> tuple[int, Sequence[int]] | None:
     """Merge the classes of symbol codes ``a`` and ``b``.
 
     Return the merged class's representative and the variables relabelled
@@ -126,7 +125,7 @@ def _first_positions(codes: Sequence[int]) -> list[int]:
     return [first.setdefault(code, q) for q, code in enumerate(codes)]
 
 
-def walk_diagonals(codes: Sequence[int], m: int, nv: int) -> Iterator[tuple[int, tuple]]:
+def walk_diagonals(pattern: PatternString) -> Iterator[tuple[int, tuple]]:
     """Walk every fvc diagonal d in lockstep over k, adding the pair
     (P[k-d-1], P[k-1]) to its cell; after each k, yield the live mask and
     the (pin, tie, clash) masks that :func:`vcmatch.kmp.diagonal_rows`
@@ -139,15 +138,26 @@ def walk_diagonals(codes: Sequence[int], m: int, nv: int) -> Iterator[tuple[int,
     first seen at position q links to window code P[d + q].  Only a merge
     flips event bits: each variable of the losing class drops its tie to
     the loser and takes a pin or a tie to the winner, as ``add_condition``
-    reports them.
+    reports them.  Diagonal d starts at k = d + 1 with the pair (P[0], P[d]);
+    two different constants there kill it before it gets a state.
     """
+    codes = pattern.codes
+    m = len(codes)
+    nv = pattern.table.num_variables
     first = _first_positions(codes)
-    start_reps = [-1 - vid for vid in range(nv)]
+    start_reps = list(range(-1, -1 - nv, -1))
     singletons = [(vid,) for vid in range(nv)]
     live = (1 << m) - 1  # diagonals past k are shifted out of row k
-    masks = pinned, tied, _ = defaultdict(int), defaultdict(int), {}
+    masks = pinned, tied, _ = {}, {}, {}
     states: list = []
-    for i, w in enumerate(codes):  # i = k - 1
+    lead = codes[0]
+    yield live, masks  # k = 1: shift 0 alone
+    for i in range(1, m):  # i = k - 1
+        w = codes[i]
+        if lead >= 0 and w >= 0 and lead != w:  # diagonal i dies at its first pair
+            live ^= 1 << (m - i)
+        else:
+            states.append((i, start_reps.copy(), singletons.copy()))  # diagonal i starts here
         dead = []
         for state in states:
             d = state[0]
@@ -173,14 +183,16 @@ def walk_diagonals(codes: Sequence[int], m: int, nv: int) -> Iterator[tuple[int,
             loser_id = moved[0]
             for vid in moved:
                 if vid != loser_id:
-                    tied[vid, loser_id] ^= bit
+                    key = vid, loser_id
+                    tied[key] = tied.get(key, 0) ^ bit
                 if winner >= 0:
-                    pinned[vid, winner] ^= bit
+                    key = vid, winner
+                    pinned[key] = pinned.get(key, 0) ^ bit
                 else:
-                    tied[vid, -1 - winner] ^= bit
+                    key = vid, -1 - winner
+                    tied[key] = tied.get(key, 0) ^ bit
         if dead:
             states = [state for state in states if state not in dead]
-        states.append((i + 1, start_reps.copy(), singletons.copy()))
         yield live, masks
 
 

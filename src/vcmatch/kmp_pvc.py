@@ -15,8 +15,7 @@ the scan, failure function and bit rows live in :mod:`vcmatch.kmp`.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Iterator, Optional, Sequence
+from collections.abc import Iterator
 
 from .core import PatternString, Record, TextString
 from .kmp import MACHINE_WORD, KmpEngine, ShiftTable
@@ -54,7 +53,7 @@ class PartnerEntry(Record):
         """The shift-0 cell: no partners."""
         return cls({}, {}, {}, {}, {}, {})
 
-    def extend(self, prefix_code: int, window_code: int) -> Optional["PartnerEntry"]:
+    def extend(self, prefix_code: int, window_code: int) -> PartnerEntry | None:
         """This cell with one more aligned pair; None if that kills it."""
         if prefix_code >= 0 and window_code >= 0:
             return self if prefix_code == window_code else None
@@ -139,7 +138,7 @@ def _absorb(vc: dict, cv: dict, vp: dict, pv: dict, cp: dict, pc: dict, p: int, 
     return True
 
 
-def walk_diagonals(codes: Sequence[int], m: int, nv: int) -> Iterator[tuple[int, tuple]]:
+def walk_diagonals(pattern: PatternString) -> Iterator[tuple[int, tuple]]:
     """Walk every pvc diagonal d in lockstep over k, adding the pair
     (P[k-d-1], P[k-1]) to its cell; after each k, yield the live mask and
     the (pin, tie, clash) masks that :func:`vcmatch.kmp.diagonal_rows`
@@ -153,15 +152,27 @@ def walk_diagonals(codes: Sequence[int], m: int, nv: int) -> Iterator[tuple[int,
     at most three nodes holds only a few pairs.  ``_absorb`` adds at most
     one partner to each map and never replaces one, so a map that grew
     holds its new partner last; only those partners bring new pins and
-    clashes.
+    clashes.  Diagonal d starts at k = d + 1 with the pair (P[0], P[d]); two
+    different constants there kill it before it gets a state, and a pair of
+    equal constants adds no partner.
     """
-    live = (1 << m) - 1  # diagonals past k are shifted out of row k
-    masks = pinned, _, clashing = defaultdict(int), {}, defaultdict(int)
+    codes = pattern.codes
+    m = len(codes)
+    nv = pattern.table.num_variables
     # Pair (P[q], w) is held as keys[q] + w: codes lie in -nv .. span - nv - 1.
-    span = max(codes, default=0) + 1 + nv
+    span = pattern.table.num_constants + nv
     keys = [(code + nv) * span + nv for code in codes]
+    live = (1 << m) - 1  # diagonals past k are shifted out of row k
+    masks = pinned, _, clashing = {}, {}, {}
     states: list = []
-    for i, w in enumerate(codes):  # i = k - 1
+    lead = codes[0]
+    yield live, masks  # k = 1: shift 0 alone
+    for i in range(1, m):  # i = k - 1
+        w = codes[i]
+        if lead >= 0 and w >= 0 and lead != w:  # diagonal i dies at its first pair
+            live ^= 1 << (m - i)
+        else:
+            states.append((i, set(), {}, {}, {}, {}, {}, {}))  # diagonal i starts here
         dead = []
         for state in states:
             d = state[0]
@@ -171,28 +182,34 @@ def walk_diagonals(codes: Sequence[int], m: int, nv: int) -> Iterator[tuple[int,
             if pair in held:
                 continue
             held.add(pair)
-            _, _, vc, cv, vp, pv, cp, pc = state  # unpacked past the skip, which most pairs take
+            p = codes[q]
+            if p >= 0 and w >= 0:  # two constants: no partner to add
+                if p != w:
+                    live ^= 1 << (m - d)
+                    dead.append(state)
+                continue
+            _, _, vc, cv, vp, pv, cp, pc = state  # unpacked past the skips, which most pairs take
             seen_vc, seen_vp, seen_cp = len(vc), len(vp), len(cp)
             bit = 1 << (m - d)
-            if not _absorb(vc, cv, vp, pv, cp, pc, codes[q], w):
+            if not _absorb(vc, cv, vp, pv, cp, pc, p, w):
                 live ^= bit
                 dead.append(state)
                 continue
             if len(vc) > seen_vc:  # a pin
-                pinned[next(reversed(vc.items()))] ^= bit
+                key = next(reversed(vc.items()))
+                pinned[key] = pinned.get(key, 0) ^ bit
             if len(vp) > seen_vp:  # a window variable met a prefix variable
                 vid, prefix = next(reversed(vp.items()))
                 for cid, other in cp.items():
                     if other != prefix:
-                        clashing[vid, cid] ^= bit
+                        clashing[vid, cid] = clashing.get((vid, cid), 0) ^ bit
             if len(cp) > seen_cp:  # a constant met a prefix variable
                 cid, prefix = next(reversed(cp.items()))
                 for vid, other in vp.items():
                     if other != prefix:
-                        clashing[vid, cid] ^= bit
+                        clashing[vid, cid] = clashing.get((vid, cid), 0) ^ bit
         if dead:
             states = [state for state in states if state not in dead]
-        states.append((i + 1, set(), {}, {}, {}, {}, {}, {}))
         yield live, masks
 
 

@@ -9,9 +9,7 @@ stored verbatim by ``__init__``, ``fit`` compiles the pattern and returns
 from __future__ import annotations
 
 from functools import cache
-from typing import Union
 
-from . import kmp_fvc, kmp_pvc  # noqa: F401  (the cell rules: loaded here, so no fit imports them)
 from .core import Substitution, TextString, encode_pattern, encode_text, is_injective_mode
 from .kmp import KmpEngine
 from .naive import MatchReport, naive_all
@@ -23,7 +21,7 @@ class NotFittedError(RuntimeError):
     """The matcher must be fitted with a pattern before searching."""
 
 
-def check_pattern(pattern) -> Union[str, bytes]:
+def check_pattern(pattern) -> str | bytes:
     if not isinstance(pattern, (str, bytes, bytearray)):
         raise TypeError(f"pattern must be str or bytes, got {type(pattern).__name__}")
     if len(pattern) == 0:
@@ -31,7 +29,7 @@ def check_pattern(pattern) -> Union[str, bytes]:
     return pattern
 
 
-def check_text(text) -> Union[str, bytes]:
+def check_text(text) -> str | bytes:
     if not isinstance(text, (str, bytes, bytearray)):
         raise TypeError(f"text must be str or bytes, got {type(text).__name__}")
     return text

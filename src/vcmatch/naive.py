@@ -6,7 +6,6 @@ that the fast backends are cross-checked against.
 
 from __future__ import annotations
 
-from typing import Optional
 
 from .core import PatternString, Record, Substitution, TextString, is_injective_mode
 
@@ -17,7 +16,7 @@ class MatchReport(Record):
     _fields = ("positions", "witnesses")
 
     def __init__(
-        self, positions: list[int], witnesses: Optional[dict[int, Substitution]] = None
+        self, positions: list[int], witnesses: dict[int, Substitution] | None = None
     ) -> None:
         self.positions = positions
         self.witnesses = witnesses
@@ -28,7 +27,7 @@ def window_match(
     text: TextString,
     start: int,
     injective: bool = False,
-) -> tuple[bool, Optional[Substitution]]:
+) -> tuple[bool, Substitution | None]:
     """Try to map the pattern onto the text window beginning at 1-based ``start``.
 
     The substitution is built greedily left to right; each variable's image

@@ -99,6 +99,8 @@ def assert_same_encoding(raw_pattern: bytes, raw_texts, charset=ASCII_UPPERCASE)
     assert [tuple(T.codes) for T in texts] == want_texts
     assert P.table.constant_bytes == want_table.constant_bytes
     assert P.table.variable_bytes == want_table.variable_bytes
+    assert P.table._constant_ids == want_table._constant_ids
+    assert P.table._variable_ids == want_table._variable_ids
 
 
 class TestEncoder:
@@ -132,6 +134,50 @@ class TestEncoder:
                 for _ in range(rng.randint(1, 3))
             ]
             assert_same_encoding(pattern, texts)
+
+    @pytest.mark.parametrize("charset", [None, b"xyz\x00\xff"])
+    def test_pattern_encoder_equals_interning(self, charset):
+        # encode_pattern fills its fresh table without the interning
+        # methods; the codes and both registries must be theirs.
+        chars = normalize_charset(charset)
+        rng = random.Random(14)
+        for _ in range(300):
+            alphabet = rng.sample(range(256), rng.randint(1, 12)) + rng.sample(sorted(chars), 3)
+            pattern = bytes(rng.choice(alphabet) for _ in range(rng.randint(1, 20)))
+            text = bytes(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
+            assert_same_encoding(pattern, [text], chars)
+
+    def test_pattern_encoder_contract(self):
+        for raw in ("", b"", bytearray()):
+            with pytest.raises(InvalidInputError, match="non-empty"):
+                encode_pattern(raw)
+        P = encode_pattern(b"aBc")
+        assert P == PatternString(P.codes, P.table)
+        # The encoder skips the range check; a hand-built pattern keeps it.
+        with pytest.raises(InvalidInputError, match="code 2 "):
+            PatternString((0, 2), P.table)
+        with pytest.raises(InvalidInputError, match="code -2 "):
+            PatternString((-2, 0), P.table)
+
+    def test_prefix_indexes_are_built_once(self, monkeypatch):
+        calls = []
+        index_prefixes = PatternString.index_prefixes
+        monkeypatch.setattr(
+            PatternString, "index_prefixes", lambda self: calls.append(self) or index_prefixes(self)
+        )
+        P = encode_pattern(b"aABcBAC")
+        firsts, by_prefix = P.first_occurrences, P.variables_by_prefix
+        assert len(calls) == 1
+        assert P.first_occurrences is firsts and P.variables_by_prefix is by_prefix
+        assert P.__dict__["first_occurrences"] is firsts
+        assert P.__dict__["variables_by_prefix"] is by_prefix
+        assert len(calls) == 1
+        # A kmp fit builds them with its link sources, in the same one pass.
+        engine = make_matcher("kmp").fit(b"aABcBAC").engine_
+        assert len(calls) == 2
+        assert engine.pattern.first_occurrences == firsts
+        assert engine.pattern.variables_by_prefix == by_prefix
+        assert len(calls) == 2
 
     def test_second_text_appends_new_constants(self):
         matcher = make_matcher("kmp").fit("AbBa")

@@ -45,10 +45,11 @@ print(*sorted(set(sys.modules) - before))
 """
 
 # Modules a find with naive or kmp has no use for: dataclasses loads inspect
-# (and with it dis and tokenize), and the rest belong to other subcommands
-# or the conv backend.
+# (and with it dis and tokenize), typing serves annotations alone, and the
+# rest belong to other subcommands or the conv backend.
 NOT_ON_FIND_PATH = {
-    "dataclasses", "inspect", "numpy", "vcmatch.bench", "vcmatch.crosscheck", "vcmatch.convolution",
+    "dataclasses", "inspect", "typing", "numpy", "vcmatch.bench", "vcmatch.crosscheck",
+    "vcmatch.convolution",
 }
 
 

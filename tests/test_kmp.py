@@ -11,7 +11,7 @@ import pytest
 from helpers import const_id, random_pattern_text
 from vcmatch import kmp
 from vcmatch.bench import make_inputs
-from vcmatch.core import Substitution, classify_input, encode_pattern
+from vcmatch.core import Substitution, classify_input, encode_pattern, encode_text
 from vcmatch.crosscheck import generate_case
 from vcmatch.kmp import KmpEngine
 from vcmatch.kmp_fvc import FvcKmp, build_bitmaps, build_table
@@ -209,6 +209,29 @@ def test_streamed_fit_equals_materialised_table(injective, chunk_width):
                     table.entry(k, j), P.variables_by_prefix[j], forward, injective
                 )
                 assert engine._failure_ids(k, dict(forward)) == (j, expected)
+
+
+@pytest.mark.parametrize("injective", [False, True])
+def test_every_short_pattern_fits_the_reference_rows(injective):
+    # Every pattern of length 1-5 over two constants and two variables,
+    # prefix lengths without a pin, tie or clash among them: the fit's rows
+    # equal the materialised table's, and two searches (a cold one that
+    # hands over to the DFA, then a warm one) leave them as a fresh fit's.
+    rng = random.Random(90 + injective)
+    texts = (bytes(rng.choice(b"abAB") for _ in range(300)), b"abbaab")
+    reference = build_t_bitmaps if injective else build_bitmaps
+    table_of = build_injective_table if injective else build_table
+    handed_over = 0
+    for m in range(1, 6):
+        for raw in map(bytes, itertools.product(b"abAB", repeat=m)):
+            P = encode_pattern(raw)
+            engine = KmpEngine(P, injective)
+            assert engine.bitmaps == reference(P, table_of(P)), raw
+            for text in texts:
+                engine.find_all(encode_text(text, P.table))
+            handed_over += engine._dfa is not None
+            assert engine.bitmaps == KmpEngine(encode_pattern(raw), injective).bitmaps, raw
+    assert handed_over > 500
 
 
 @pytest.mark.parametrize("injective", [False, True])

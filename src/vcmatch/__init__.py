@@ -18,7 +18,8 @@ _HOMES = {
     name: home
     for home, names in {
         "core": "InvalidInputError PatternString Substitution SymbolTable TextString classify_input",
-        "kmp": "KmpEngine ShiftTable",
+        "kmp": "KmpEngine",
+        "kmp_rows": "ShiftTable",
         "kmp_fvc": "BitmapSet FvcKmp add_condition build_bitmaps build_table match_fvc",
         "kmp_pvc": "PvcKmp build_injective_table build_t_bitmaps match_pvc",
         "matchers": "ConvolutionMatcher KmpMatcher NaiveMatcher NotFittedError find_all make_matcher",

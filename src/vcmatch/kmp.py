@@ -9,8 +9,9 @@ chosen by the engine's one switch, ``injective``.
 
 The engine keeps only bit rows, one int each: per prefix length, the live
 row and, in sparse dicts, the value, default and tie rows that restrict it
-(:class:`BitmapSet`).  The failure function ANDs the live row with the
-stored rows its bindings select and takes the highest set bit.  Cell (k, j)
+(``BitmapSet``, in :mod:`vcmatch.kmp_rows` with the row assembly and the
+reference).  A scan state's failure set ANDs the live row with the stored
+rows its bindings select; its highest bit is the failure function.  Cell (k, j)
 is cell (k-1, j-1) plus one aligned pair, so the fit (:func:`diagonal_rows`)
 walks every diagonal d = k - j once, holding one mutable cell state per
 live diagonal and one int mask over the diagonals per event (a pin, tie or
@@ -21,19 +22,27 @@ read off the pattern: the window code aligned with its first occurrence.
 pvc needs no tie rows: the preceding bindings are injective by
 construction, and live pvc cells never tie two window variables together.
 
-``ShiftTable`` (the cells, materialised) and ``flatten_rows`` (their bit
-rows) are the inspectable reference the engine's rows are tested against.
+A mismatch at scan state (k, bindings) resolves through the failure chain,
+whose links are the shifts j in the failure set of (k, bindings), the
+shifts whose cells accept the bindings: as in classical KMP, the state at
+link j accepts exactly the shifts below j that (k, bindings) accepts, and
+each link's bindings are read off the same window.  So the scan computes
+the set once per mismatched character, and each further link costs one
+test of the character against P[j].  The engine caches failure sets per
+(prefix length, bindings): an entry holds the top link j, its bindings,
+the code a character must be to fit P[j] under them, and the set's other
+shifts as an int.  The cache is flushed whenever it reaches
+``FAILURE_CACHE_CAP`` entries.
 
-The engine memoises the failure function per (prefix length, bindings) in
-a cache flushed whenever it reaches ``FAILURE_CACHE_CAP`` entries.  Where
-failures run dense, the scan itself becomes a lazily built DFA, as in RE2
-(Cox, "Regular Expression Matching in the Wild"): its states are the scan
-states (prefix length, bindings), and each transition is filled on first
-use by one character of the plain loop.  A warm engine's scan (its table holds
-states) starts in the DFA; any other hands over once failures outnumber half
-of the characters read (from ``DFA_HANDOVER_INDEX`` on).  A table whose size
-reaches ``DFA_TABLE_BYTES`` (estimated) is flushed, so memory stays bounded on
-any input, and the scan hands back to the plain loop for the rest of the text.
+Where failures run dense, the scan itself becomes a lazily built DFA, as in
+RE2 (Cox, "Regular Expression Matching in the Wild"): its states are the
+scan states (prefix length, bindings), and each transition is filled on
+first use by one character of the plain loop.  A warm engine's scan (its
+table holds states) starts in the DFA; any other hands over once failures,
+one per chain link, outnumber half of the characters read (from
+``DFA_HANDOVER_INDEX`` on).  A table whose size reaches ``DFA_TABLE_BYTES``
+(estimated) is flushed, so memory stays bounded on any input, and the scan
+hands back to the plain loop for the rest of the text.
 
 The scan leaves state k = 0 only on a character that fits the pattern's
 first symbol.  When that symbol is a constant and under 1 in ``SKIP_DENSITY``
@@ -47,17 +56,13 @@ at the same index as without the jump.
 from __future__ import annotations
 
 import logging
-import sys
 import time
-from collections import defaultdict
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
-from .core import PatternString, Record, Substitution, TextString
+from .core import PatternString, Substitution, TextString
+from .kmp_rows import MACHINE_WORD, BitmapSet, add_rows, row_counts, unfilled_rows
 from .naive import MatchReport
 
-# The default chunk_width.  The fit checks it (>= 1), but it does not shape
-# the rows; the parameter stays because acceptance criterion 10 pins it.
-MACHINE_WORD = 64
 # About 3 MiB of cached failure results with 26 variables.
 FAILURE_CACHE_CAP = 2048
 # A cold scan (a warm one starts in the DFA) hands over to the lazy DFA at
@@ -84,191 +89,6 @@ _EDGE_BYTES = 128
 logger = logging.getLogger(__name__)
 
 
-def shift_rows(pattern: PatternString, injective: bool) -> Iterable[list]:
-    """Yield the cell rows k = 1..m; ``row[j]`` is cell (k, j), None if dead.
-
-    Cell (k, j) is cell (k-1, j-1) with prefix position j aligned under
-    window position k, so only the previous row is kept.
-    """
-    cell_type = kmp_pvc.PartnerEntry if injective else kmp_fvc.ConditionEntry
-    codes = pattern.codes
-    start = cell_type.start(pattern.table.num_variables)
-    row: list = []
-    for window_code in codes:
-        row = [start] + [
-            None if cell is None else cell.extend(prefix_code, window_code)
-            for cell, prefix_code in zip(row, codes)
-        ]
-        yield row
-
-
-class ShiftTable:
-    """All (prefix length, shift) cells of one pattern, materialised.
-
-    ``entries[k][j]`` holds the cell for 0 <= j < k <= m, or None when the
-    alignment is impossible; row 0 is empty.  The engine does not keep it.
-    """
-
-    def __init__(self, pattern: PatternString, injective: bool) -> None:
-        self.injective = injective
-        self.entries: list[list] = [[], *shift_rows(pattern, injective)]
-
-    def entry(self, k: int, j: int):
-        return self.entries[k][j]
-
-    def is_valid(self, k: int, j: int) -> bool:
-        return self.entries[k][j] is not None
-
-
-class BitmapSet(Record):
-    """Bit-packed shift rows, one k-bit row family per prefix length k.
-
-    * ``valid[k]``: bit j set iff cell (k, j) is alive: the live row.
-    * ``allow_value_default[k][v]``: the live row with every shift cleared
-      that pins v to a constant; it serves any constant that does not occur
-      in the pattern, which can never satisfy a pin.
-    * ``allow_value[k][v, c]``: bit j cleared iff shift j forces variable v
-      to a constant other than c, or (pvc) v's class holds a prefix
-      variable and c's class a different one, or the cell is dead.
-    * ``allow_distinct[k][x, y]`` (fvc; None for pvc): bit j cleared iff
-      shift j makes y the representative of x, i.e. forces equal bindings.
-
-    The families past ``valid`` are sparse: a dict per k holds only the rows
-    that differ from the row a lookup would otherwise use.  A missing
-    default or tie row is the live row, and a missing value row (v, c) is
-    v's default row.  So a variable pinned to constant c alone keeps its
-    value row (v, c), the live row, because it shadows v's default.  Every
-    key at k names variables of ``variables_by_prefix[k]``.  A row is an
-    int, bit j for shift j; rows may be shared.
-    """
-
-    _fields = ("valid", "allow_value", "allow_value_default", "allow_distinct")
-
-    def __init__(
-        self, valid: list, allow_value: list, allow_value_default: list, allow_distinct: list | None
-    ) -> None:
-        self.valid = valid
-        self.allow_value = allow_value
-        self.allow_value_default = allow_value_default
-        self.allow_distinct = allow_distinct
-
-    def max_valid_shift(self, k: int) -> int:
-        """Largest live shift for prefix length k (the border length for
-        variable-free patterns)."""
-        return self.valid[k].bit_length() - 1
-
-
-def _add_rows(bitmaps: BitmapSet, k: int, live: int, masks: tuple, shift: int) -> None:
-    """Store the rows of prefix length k in ``bitmaps``.
-
-    Shift j of k is bit j + ``shift`` of each int mask: ``live`` marks the
-    live cells, and ``masks`` is the event dicts (pinned, tied, clashing):
-    ``pinned[v, c]`` marks the cells forcing v to constant c, ``tied[x, y]``
-    those making y the representative of x, and ``clashing[v, c]`` those
-    whose classes of v and c hold different prefix variables.  An event
-    mask's bits of dead cells are ignored, and a key with none on a live
-    cell is deleted from its dict.  Each row is stored only where it
-    differs from the row a lookup would otherwise use.  An empty event dict
-    costs a test, so a prefix length without events costs a few stores.
-    """
-    pinned, tied, clashing = masks
-    alive = live >> shift
-    bitmaps.valid[k] = alive
-    values: dict[tuple[int, int], int] = {}
-    unpinned: dict[int, int] = {}
-    if pinned:
-        # Per pinned variable, the live cells pinning it to no constant:
-        # pins are live cells, and one cell pins a variable at most once.
-        for key, mask in pinned.items():
-            mask &= live
-            if mask:
-                marks = values[key] = mask >> shift
-                unpinned[key[0]] = unpinned.get(key[0], alive) ^ marks
-        if len(values) < len(pinned):
-            _drop_dead(pinned, values)
-        # A variable pinned to one constant only may take that one wherever
-        # it is live: its value row is the live row itself.  A pinned value
-        # row differs from v's default row, which clears the pin.
-        for key, marks in values.items():
-            row = marks | unpinned[key[0]]
-            values[key] = alive if row == alive else row
-    if clashing:
-        for key, marks in _row_marks(clashing, live, shift).items():
-            default = unpinned.get(key[0], alive)
-            row = values.get(key, default) & ~marks
-            if row != default:
-                values[key] = row
-            elif key in values:
-                del values[key]
-    bitmaps.allow_value[k] = values
-    bitmaps.allow_value_default[k] = unpinned
-    if bitmaps.allow_distinct is not None:
-        ties = {}
-        if tied:
-            ties = _row_marks(tied, live, shift)
-            for key, marks in ties.items():
-                ties[key] = alive ^ marks
-        bitmaps.allow_distinct[k] = ties
-
-
-def _row_marks(masks: dict, live: int, shift: int) -> dict:
-    """Each key's mask on the live cells, shifted down by ``shift``; keys
-    with none leave ``masks``."""
-    marks = {}
-    for key, mask in masks.items():
-        mask &= live
-        if mask:
-            marks[key] = mask >> shift
-    if len(marks) < len(masks):
-        _drop_dead(masks, marks)
-    return marks
-
-
-def _drop_dead(masks: dict, marks: dict) -> None:
-    """Delete the event keys of ``masks`` that ``marks`` lacks."""
-    for key in masks.keys() - marks.keys():
-        del masks[key]
-
-
-def _unfilled_rows(m: int, injective: bool) -> BitmapSet:
-    """A :class:`BitmapSet` with a slot per prefix length 1..m."""
-    slots = [None] * (m + 1)
-    return BitmapSet(slots, slots.copy(), slots.copy(), None if injective else slots.copy())
-
-
-def flatten_rows(
-    pattern: PatternString, rows: Iterable[list], injective: bool, chunk_width: int
-) -> BitmapSet:
-    """Bit rows read off materialised cell rows k = 1..m.
-
-    The reference for :func:`diagonal_rows`, which the engine fits with:
-    every live cell is read, and its events set its shift's bit.
-    """
-    if chunk_width < 1:
-        raise ValueError("chunk_width must be positive")
-    bitmaps = _unfilled_rows(len(pattern), injective)
-    for k, row in enumerate(rows, 1):
-        live = 0
-        masks = defaultdict(int), defaultdict(int), defaultdict(int)
-        for j, cell in enumerate(row):
-            if cell is None:
-                continue
-            bit = 1 << j
-            live |= bit
-            for marks, pairs in zip(masks, cell.read()):
-                for pair in pairs:
-                    marks[pair] |= bit
-        _add_rows(bitmaps, k, live, masks, 0)
-    return bitmaps
-
-
-def build_bitmaps(
-    pattern: PatternString, table: ShiftTable, chunk_width: int = MACHINE_WORD
-) -> BitmapSet:
-    """Bit rows of a materialised table; equal to the engine's."""
-    return flatten_rows(pattern, table.entries[1:], table.injective, chunk_width)
-
-
 def diagonal_rows(
     pattern: PatternString, injective: bool, chunk_width: int = MACHINE_WORD
 ) -> BitmapSet:
@@ -281,27 +101,17 @@ def diagonal_rows(
     diagonals per event (a pin, tie or clash), bit m - d for diagonal d,
     and flips a bit on each real change.  After each k, that k's rows are
     the masks on the live diagonals, shifted down by m - k, and are built
-    before the walk moves on.  Equal to :func:`flatten_rows` of the cell
-    rows.
+    before the walk moves on.  Equal to :func:`vcmatch.kmp_rows.flatten_rows`
+    of the cell rows.
     """
     if chunk_width < 1:
         raise ValueError("chunk_width must be positive")
     m = len(pattern)
-    bitmaps = _unfilled_rows(m, injective)
+    bitmaps = unfilled_rows(m, injective)
     walk = (kmp_pvc if injective else kmp_fvc).walk_diagonals(pattern)
     for k, (live, masks) in enumerate(walk, 1):
-        _add_rows(bitmaps, k, live, masks, m - k)
+        add_rows(bitmaps, k, live, masks, m - k)
     return bitmaps
-
-
-def _row_counts(bitmaps: BitmapSet) -> tuple[int, int]:
-    """Live cells, and the bytes of the distinct row ints held."""
-    families = (bitmaps.allow_value, bitmaps.allow_value_default, bitmaps.allow_distinct or [None])
-    rows = [*bitmaps.valid[1:]]
-    for family in families:
-        rows += [row for stored in family[1:] for row in stored.values()]
-    live = sum(row.bit_count() for row in bitmaps.valid[1:])
-    return live, sum({id(row): sys.getsizeof(row) for row in rows}.values())
 
 
 class _Dfa:
@@ -370,7 +180,7 @@ class KmpEngine:
         self.bitmaps = diagonal_rows(pattern, injective, chunk_width)
         if debug:
             fit_ns = time.perf_counter_ns() - start
-            live, nbytes = _row_counts(self.bitmaps)
+            live, nbytes = row_counts(self.bitmaps)
             logger.debug(
                 "kmp fit: mode=%s m=%d live_cells=%d bit_row_bytes=%d fit_ns=%d",
                 "pvc" if injective else "fvc", len(pattern), live, nbytes, fit_ns,
@@ -379,8 +189,10 @@ class KmpEngine:
         # shift j of prefix length k it takes the window code at
         # k - j + that position.
         self._link_sources = pattern.index_prefixes()[2]
-        # (k, *binding values in variables_by_prefix[k] order) -> (j, succeeding)
-        self._failure_cache: dict[tuple, tuple[int, dict[int, int]]] = {}
+        # (k, *binding values in variables_by_prefix[k] order) -> _failure_set's entry
+        self._failure_cache: dict[tuple, tuple] = {}
+        # Each variable's first position: built by the first walk past a top link.
+        self._firsts: dict[int, int] | None = None
         self._dfa: _Dfa | None = None  # built by the first scan that hands over
         # The leading constant's text code as 1 byte (None for a leading
         # variable): the plain loop's jump target.
@@ -410,24 +222,87 @@ class KmpEngine:
         return j, Substitution(forward)
 
     def _failure_ids(self, k: int, forward: dict[int, int]) -> tuple[int, dict[int, int]]:
-        """``failure`` on raw ids; ``forward``'s keys must be in
-        ``variables_by_prefix[k]`` order, as the scan inserts them.  The
-        returned dict is the caller's to mutate."""
-        cache = self._failure_cache
+        """``failure`` on raw ids: the failure chain's top link.  ``forward``'s
+        keys must be in ``variables_by_prefix[k]`` order, as the scan inserts
+        them.  The returned dict is the caller's to mutate."""
         key = (k, *forward.values())
-        hit = cache.get(key)
-        if hit is not None:
-            return hit[0], hit[1].copy()
+        hit = self._failure_cache.get(key)
+        if hit is None:
+            hit = self._failure_set(key, forward)
+        return hit[0], hit[1].copy()
+
+    def _walk(
+        self, k: int, forward: dict[int, int], t: int, stop: int
+    ) -> tuple[int, dict[int, int], int]:
+        """Resolve text code ``t`` after a mismatch at scan state (k, forward).
+
+        The links of the failure chain are the shifts j in the failure set
+        of (k, forward), the shifts whose cells accept its bindings, from
+        the largest down: (j, pi_j) accepts exactly the shifts below j that
+        (k, forward) accepts, and every shift reads its bindings off the
+        same window.  So the set is computed once, and a link costs one
+        test of t against P[j] under pi_j.  Returns the state after t at
+        the first link where t fits (k = 0 if none does), or, with ``stop``
+        >= 2, the state at link ``stop`` with t unread (link 1 is
+        :meth:`_failure_ids`); each with the number of links walked.  Only
+        the returned link's bindings are built.
+        """
+        key = (k, *forward.values())
+        hit = self._failure_cache.get(key)
+        if hit is None:
+            hit = self._failure_set(key, forward)
+        j, succeeding, want, rest = hit
+        if want == t:
+            return j + 1, succeeding.copy(), 1
+        if want < 0 and not (self.injective and t in succeeding.values()):
+            succeeding = succeeding.copy()
+            succeeding[-1 - want] = t
+            return j + 1, succeeding, 1
+        if not rest:
+            return 0, {}, 1
+        firsts = self._firsts
+        if firsts is None:
+            firsts = self._firsts = dict(self._link_sources[-1])
+        pcodes = self.pattern.codes
+        links = 1
+        while rest:
+            j = rest.bit_length() - 1
+            rest ^= 1 << j
+            links += 1
+            if links == stop:
+                return j, self._bindings(k, forward, j), links
+            code = pcodes[j]
+            if code < 0:
+                q = firsts[-1 - code]
+                if q == j:  # P[j] binds its variable (under pvc, to a free t)
+                    succeeding = self._bindings(k, forward, j)
+                    if self.injective and t in succeeding.values():
+                        continue
+                    succeeding[-1 - code] = t
+                    return j + 1, succeeding, links
+                code = pcodes[k - j + q]  # the window code bound to it
+                if code < 0:
+                    code = forward[-1 - code]
+            if code == t:
+                return j + 1, self._bindings(k, forward, j), links
+        return 0, {}, links
+
+    def _failure_set(self, key: tuple, forward: dict[int, int]) -> tuple:
+        """Compute the failure set of (k, forward), the shifts whose cells
+        accept the bindings, and cache it under ``key``."""
+        k = key[0]
+        cache = self._failure_cache
         bitmaps = self.bitmaps
         bits = bitmaps.valid[k]
         values = bitmaps.allow_value[k]
         defaults = bitmaps.allow_value_default[k]
-        for vid, cid in forward.items():
-            row = values.get((vid, cid))
-            if row is None:
-                row = defaults.get(vid)
-            if row is not None:
-                bits &= row
+        if values or defaults:  # else every binding reads the live row
+            for vid, cid in forward.items():
+                row = values.get((vid, cid))
+                if row is None:
+                    row = defaults.get(vid)
+                if row is not None:
+                    bits &= row
         if not self.injective:
             for (x, y), row in bitmaps.allow_distinct[k].items():
                 if forward[x] != forward[y]:
@@ -435,15 +310,31 @@ class KmpEngine:
         j = bits.bit_length() - 1
         codes = self.pattern.codes
         base = k - j
+        succeeding = {}  # _bindings, inline: misses are most of a short search's failures
+        for vid, q in self._link_sources[j]:
+            code = codes[base + q]
+            succeeding[vid] = code if code >= 0 else forward[-1 - code]
+        want = codes[j]
+        if want < 0:
+            want = succeeding.get(-1 - want, want)
+        if len(cache) >= FAILURE_CACHE_CAP:
+            logger.debug("kmp failure cache flushed at %d entries", len(cache))
+            cache.clear()
+        # The entry: the top link j, its bindings, the code t must be to
+        # fit P[j] under them (-1 - v when P[j] is v's first occurrence),
+        # and the set's other shifts.
+        entry = cache[key] = (j, succeeding, want, bits ^ (1 << j))
+        return entry
+
+    def _bindings(self, k: int, forward: dict[int, int], j: int) -> dict[int, int]:
+        """pi_j: shift j's bindings, read off the window of (k, forward)."""
+        codes = self.pattern.codes
+        base = k - j
         succeeding: dict[int, int] = {}
         for vid, q in self._link_sources[j]:
             code = codes[base + q]
             succeeding[vid] = code if code >= 0 else forward[-1 - code]
-        if len(cache) >= FAILURE_CACHE_CAP:
-            logger.debug("kmp failure cache flushed at %d entries", len(cache))
-            cache.clear()
-        cache[key] = (j, succeeding)
-        return j, succeeding.copy()
+        return succeeding
 
     def find_all(self, text: TextString) -> MatchReport:
         """Scan the text once, shifting through the failure rows on mismatch.
@@ -505,65 +396,77 @@ class KmpEngine:
 
         ``tcodes`` is a text's codes, ``bytes`` or a tuple.  A ``bytes``
         subscript costs more than a tuple one while iterating costs the
-        same, so the loop iterates from i, and an inner loop re-tests a
-        character after each failure.  Appends the 1-based start of each
-        match to ``positions`` and returns the state (i, k, forward) it
-        stops in: at the end, or from index ``handover_at`` on as soon as
-        failures outnumber half of i.  i is then the index past a character
-        that completed a match, or the index of a character that failed,
-        which the next loop must read again.  Given a ``lead``, the
-        pattern's leading constant code as 1 byte, ``tcodes`` must be
-        ``bytes``: a mismatch at k = 0 jumps to the lead's next occurrence,
-        and the scan ends at n when there is none.  This is the one copy of
-        the match rule; the DFA fills its entries through it, one character
-        at a time and without a lead.
+        same, so the loop iterates from i.  A character that fails at k > 0
+        is resolved by one :meth:`_walk` of its failure chain, which counts
+        a failure per link.  Appends the 1-based start of each match to
+        ``positions`` and returns the state (i, k, forward) it stops in: at
+        the end, or from index ``handover_at`` on as soon as failures
+        outnumber half of i.  i is then the index past a character that
+        completed a match, or the index of a character that failed, which
+        the next loop must read again from the chain's link where failures
+        first outnumbered half of i.  Given a ``lead``, the pattern's
+        leading constant code as 1 byte, ``tcodes`` must be ``bytes``: a
+        mismatch at k = 0 jumps to the lead's next occurrence, and the scan
+        ends at n when there is none.  The DFA fills its entries through
+        this loop, one character at a time and without a lead.
         """
         injective = self.injective
         pcodes = self.pattern.codes
         m = len(pcodes)
         failure = self._failure_ids
+        walk = self._walk
         failures = 0
         n = len(tcodes)
         chars = iter(tcodes)
         if i:
             chars.__setstate__(i)
         for t in chars:
-            while True:
-                code = pcodes[k]
-                if code >= 0:
-                    ok = code == t
+            code = pcodes[k]
+            if code >= 0:
+                ok = code == t
+            else:
+                vid = -1 - code
+                bound = forward.get(vid)
+                if bound is None:
+                    # pvc: a value bound to another variable is a mismatch
+                    ok = not injective or t not in forward.values()
+                    if ok:
+                        forward[vid] = t
                 else:
-                    vid = -1 - code
-                    bound = forward.get(vid)
-                    if bound is None:
-                        # pvc: a value bound to another variable is a mismatch
-                        ok = not injective or t not in forward.values()
-                        if ok:
-                            forward[vid] = t
-                    else:
-                        ok = bound == t
-                if ok:
-                    k += 1
-                    if k < m:
-                        break
-                    positions.append(n - chars.__length_hint__() - m + 1)
-                elif k == 0:
-                    if lead is not None:  # a pointer test: cheaper than bytes truth
-                        i = tcodes.find(lead, n - chars.__length_hint__())
-                        if i < 0:
-                            return n, 0, {}
-                        chars.__setstate__(i)
-                    break
+                    ok = bound == t
+            if ok:
+                k += 1
+                if k < m:
+                    continue
+                positions.append(n - chars.__length_hint__() - m + 1)
                 k, forward = failure(k, forward)
                 failures += 1
                 if failures * 2 > handover_at:  # else no hand-over can be due
                     i = n - chars.__length_hint__()  # the index past t
-                    if not ok:
-                        i -= 1  # t failed: the next loop reads it again
                     if i >= handover_at and failures * 2 > i:
                         return i, k, forward
-                if ok:  # a match moves on; a failed character is tested again
-                    break
+                continue
+            if k:
+                j, succeeding, links = walk(k, forward, t, 0)
+                failures += links
+                if failures * 2 > handover_at:
+                    i = n - chars.__length_hint__() - 1  # t's index
+                    if i >= handover_at and failures * 2 > i:
+                        # Stop at the first link whose count passes i / 2.
+                        stop = i // 2 - (failures - links) + 1
+                        if stop > 1:
+                            k, forward, _ = walk(k, forward, t, stop)
+                        else:
+                            k, forward = failure(k, forward)
+                        return i, k, forward
+                k, forward = j, succeeding
+                if k:
+                    continue
+            if lead is not None:  # a pointer test: cheaper than bytes truth
+                i = tcodes.find(lead, n - chars.__length_hint__())
+                if i < 0:
+                    return n, 0, {}
+                chars.__setstate__(i)
         return n, k, forward
 
     def _dfa_scan(

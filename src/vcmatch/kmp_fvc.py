@@ -4,7 +4,8 @@ Each (k, j) cell summarizes its alignment classes with a representative map
 over merge classes (constants win; otherwise the variable registered
 first).  A cell is dead when it forces two distinct constants to be equal.
 The engine's fit keeps one such cell per diagonal (:func:`walk_diagonals`);
-the scan, failure function and bit rows live in :mod:`vcmatch.kmp`.
+the scan and failure function live in :mod:`vcmatch.kmp`, the bit rows in
+:mod:`vcmatch.kmp_rows`.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 
 from .core import PatternString, Record, TextString
-from .kmp import MACHINE_WORD, KmpEngine, ShiftTable
-from .kmp import BitmapSet, build_bitmaps  # noqa: F401  (re-exported)
+from .kmp import MACHINE_WORD, KmpEngine
+from .kmp_rows import ShiftTable
+from .kmp_rows import BitmapSet, build_bitmaps  # noqa: F401  (re-exported)
 from .naive import MatchReport
 
 

@@ -10,7 +10,8 @@ variable and c's class a *different* one (a clash): the shift would assign
 c to two prefix variables, which an injective succeeding binding cannot do.
 
 The engine's fit keeps one such cell per diagonal (:func:`walk_diagonals`);
-the scan, failure function and bit rows live in :mod:`vcmatch.kmp`.
+the scan and failure function live in :mod:`vcmatch.kmp`, the bit rows in
+:mod:`vcmatch.kmp_rows`.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .core import PatternString, Record, TextString
-from .kmp import MACHINE_WORD, KmpEngine, ShiftTable
-from .kmp import build_bitmaps as build_t_bitmaps  # noqa: F401  (re-exported)
+from .kmp import MACHINE_WORD, KmpEngine
+from .kmp_rows import ShiftTable
+from .kmp_rows import build_bitmaps as build_t_bitmaps  # noqa: F401  (re-exported)
 from .naive import MatchReport
 
 
@@ -58,9 +60,9 @@ class PartnerEntry(Record):
         if prefix_code >= 0 and window_code >= 0:
             return self if prefix_code == window_code else None
         e = self.copy()
-        ok = _absorb(e.var_const, e.const_var, e.var_prefix, e.prefix_var,
-                     e.const_prefix, e.prefix_const, prefix_code, window_code)
-        return e if ok else None
+        grew = _absorb(e.var_const, e.const_var, e.var_prefix, e.prefix_var,
+                       e.const_prefix, e.prefix_const, prefix_code, window_code)
+        return None if grew is None else e
 
     def read(self):
         """Pins (v, constant), ties, clashes (v, constant)."""
@@ -99,43 +101,52 @@ class PartnerEntry(Record):
         return {(other, links[ident]) for links, other in partners[kind] if ident in links}
 
 
-def _absorb(vc: dict, cv: dict, vp: dict, pv: dict, cp: dict, pc: dict, p: int, w: int) -> bool:
+def _absorb(
+    vc: dict, cv: dict, vp: dict, pv: dict, cp: dict, pc: dict, p: int, w: int
+) -> int | None:
     """Add the aligned pair (prefix code ``p``, window code ``w``) to the
     partner maps, given in the order of ``PartnerEntry``'s fields, in
-    place; False if the cell dies.
+    place.  Returns None if the cell dies, else which of vc, vp and cp
+    grew, as bits 1, 2 and 4 (0 when the class held the pair already).
 
     The pair puts node b into node a's class, a and b and a third node t
     being of distinct kinds; ``ab`` maps each node of a's kind to its
     partner of b's kind and ``ba`` back, likewise ``at``/``ta`` and
     ``bt``/``tb``.  The cell dies if the class would then hold two nodes
-    of one kind.
+    of one kind.  ``grown`` holds the result when ab/ba grow alone, with
+    bt/tb, and with at/ta.
     """
     if p >= 0:
         if w >= 0:
-            return p == w
+            return 0 if p == w else None
         ab, ba, at, bt, ta, tb, a, b = vc, cv, vp, cp, pv, pc, -1 - w, p
+        grown = 1, 5, 3
     elif w < 0:
         ab, ba, at, bt, ta, tb, a, b = vp, pv, vc, pc, cv, cp, -1 - w, -1 - p
+        grown = 2, 6, 3
     else:
         ab, ba, at, bt, ta, tb, a, b = pc, cp, pv, cv, vp, vc, -1 - p, w
+        grown = 4, 5, 6
     current = ab.get(a)
     if current is not None:
-        return current == b
+        return 0 if current == b else None
     if b in ba:
-        return False  # b already has a partner of a's kind
+        return None  # b already has a partner of a's kind
     a_t = at.get(a)
     b_t = bt.get(b)
     if a_t is not None and b_t is not None:
-        return False  # two nodes of the third kind
+        return None  # two nodes of the third kind
     ab[a] = b
     ba[b] = a
     if a_t is not None:
         bt[b] = a_t
         tb[a_t] = b
-    elif b_t is not None:
+        return grown[1]
+    if b_t is not None:
         at[a] = b_t
         ta[b_t] = a
-    return True
+        return grown[2]
+    return grown[0]
 
 
 def walk_diagonals(pattern: PatternString) -> Iterator[tuple[int, tuple]]:
@@ -189,21 +200,21 @@ def walk_diagonals(pattern: PatternString) -> Iterator[tuple[int, tuple]]:
                     dead.append(state)
                 continue
             _, _, vc, cv, vp, pv, cp, pc = state  # unpacked past the skips, which most pairs take
-            seen_vc, seen_vp, seen_cp = len(vc), len(vp), len(cp)
+            grew = _absorb(vc, cv, vp, pv, cp, pc, p, w)
             bit = 1 << (m - d)
-            if not _absorb(vc, cv, vp, pv, cp, pc, p, w):
+            if grew is None:
                 live ^= bit
                 dead.append(state)
                 continue
-            if len(vc) > seen_vc:  # a pin
+            if grew & 1:  # a pin
                 key = next(reversed(vc.items()))
                 pinned[key] = pinned.get(key, 0) ^ bit
-            if len(vp) > seen_vp:  # a window variable met a prefix variable
+            if grew & 2:  # a window variable met a prefix variable
                 vid, prefix = next(reversed(vp.items()))
                 for cid, other in cp.items():
                     if other != prefix:
                         clashing[vid, cid] = clashing.get((vid, cid), 0) ^ bit
-            if len(cp) > seen_cp:  # a constant met a prefix variable
+            if grew & 4:  # a constant met a prefix variable
                 cid, prefix = next(reversed(cp.items()))
                 for vid, other in vp.items():
                     if other != prefix:

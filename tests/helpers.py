@@ -214,3 +214,70 @@ def random_pattern_text(rng: random.Random, max_m=10, max_n=40, num_variables=3,
     )
     text = "".join(rng.choice(constants) for _ in range(n))
     return classify_input(pattern, text)
+
+
+def failure_chain(engine, k: int, forward: dict[int, int], t: int):
+    """Reference for the kmp scan's walk after a mismatch at scan state
+    (k, forward) on text code ``t``: one ``engine.failure`` call per link,
+    retesting t after each, as a plain KMP loop does.
+
+    Returns the links' states (j, bindings), t unread, and the state after
+    t: (j + 1, bindings with t bound) at the first link where t fits, else
+    (0, {}) once t fails at j = 0.
+    """
+    pattern = engine.pattern
+    links = []
+    while True:
+        j, pi = engine.failure(k, Substitution(forward))
+        forward = {vid: pi.forward[vid] for vid in pattern.variables_by_prefix[j]}
+        links.append((j, dict(forward)))
+        code = pattern.codes[j]
+        if code >= 0:
+            fits = code == t
+        elif -1 - code in forward:
+            fits = forward[-1 - code] == t
+        else:
+            fits = not engine.injective or t not in forward.values()
+            if fits:
+                forward[-1 - code] = t
+        if fits:
+            return links, (j + 1, forward)
+        if j == 0:
+            return links, (0, {})
+        k = j
+
+
+def scan_by_failures(engine, codes, handover_at: int):
+    """Reference for the kmp plain loop without a lead: ``failure_chain``
+    per mismatch, and the hand-over test after every failure call, at index
+    ``handover_at`` or later as soon as failures outnumber half of the
+    index.  Returns (i, k, forward, positions) like ``KmpEngine._scan``."""
+    pattern = engine.pattern
+    m = len(pattern)
+    k, forward, failures, positions = 0, {}, 0, []
+    for i, t in enumerate(codes):
+        code = pattern.codes[k]
+        if code >= 0:
+            fits = code == t
+        elif -1 - code in forward:
+            fits = forward[-1 - code] == t
+        else:
+            fits = not engine.injective or t not in forward.values()
+            if fits:
+                forward[-1 - code] = t
+        if fits:
+            k += 1
+            if k == m:
+                positions.append(i + 2 - m)
+                j, pi = engine.failure(k, Substitution(forward))
+                k, forward = j, {vid: pi.forward[vid] for vid in pattern.variables_by_prefix[j]}
+                failures += 1
+                if i + 1 >= handover_at and failures * 2 > i + 1:
+                    return i + 1, k, forward, positions
+        elif k:
+            links, (k, forward) = failure_chain(engine, k, forward, t)
+            for j, link in links:
+                failures += 1
+                if i >= handover_at and failures * 2 > i:
+                    return i, j, link, positions
+    return len(codes), k, forward, positions

@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from helpers import const_id, random_pattern_text
+from helpers import const_id, failure_chain, random_pattern_text, scan_by_failures
 from vcmatch import kmp
 from vcmatch.bench import make_inputs
 from vcmatch.core import Substitution, classify_input, encode_pattern, encode_text
@@ -280,6 +280,73 @@ def test_cached_scans_equal_the_oracle(cap, mode, chunk_width, monkeypatch, capl
             fresh = make_matcher("kmp", mode=mode, chunk_width=chunk_width).fit(praw)
             assert fresh.predict(traw) == expected
     assert ("kmp failure cache flushed" in caplog.text) == (cap == 1)
+
+
+@pytest.mark.parametrize("injective", [False, True])
+def test_walk_equals_the_failure_chain(injective):
+    # One failure set per mismatched character: the walk reaches the state
+    # that a failure call and a retest per link reach, in as many links,
+    # and stopped at link L >= 2 it returns that link's state, t unread.
+    rng = random.Random(1900 + injective)
+    deep = 0
+    for trial in range(300):
+        if trial % 3:
+            P, _ = random_pattern_text(rng, max_m=12, num_variables=4)
+        else:
+            P = periodic_pattern(rng, max_m=40)
+        engine = KmpEngine(P, injective)
+        for _ in range(10):
+            k = rng.randint(1, len(P))
+            forward = draw_bindings(rng, P, k, injective)
+            t = rng.randrange(P.table.num_constants + 1)  # the last code: no pattern constant
+            links, after = failure_chain(engine, k, forward, t)
+            j, succeeding, count = engine._walk(k, dict(forward), t, 0)
+            assert (j, succeeding, count) == (*after, len(links))
+            assert list(succeeding) == list(P.variables_by_prefix[j])  # the scan's key order
+            assert engine._failure_ids(k, dict(forward)) == links[0]
+            for stop in range(2, len(links) + 1):
+                assert engine._walk(k, dict(forward), t, stop) == (*links[stop - 1], stop)
+            deep += len(links) > 2
+    assert deep > 100
+
+
+@pytest.mark.parametrize("injective", [False, True])
+def test_a_failing_character_computes_its_failure_set_once(injective):
+    # (aABC)*32 over a run of "axyz" that matches, then "au": "u" fails at
+    # k = 125 against A = "x", and its chain holds every shift j = 1 (mod 4)
+    # below, 31 links, down to A's first occurrence.  The walk computes
+    # that set once: the cache holds it and the post-match failures' one
+    # key, where a failure call per link would leave 32 entries.
+    P, T = classify_input(b"aABC" * 32, b"axyz" * 40 + b"au")
+    engine = KmpEngine(P, injective)
+    positions = engine.find_all(T).positions
+    assert positions == naive_all(P, T, mode="pvc" if injective else "fvc").positions
+    assert positions == list(range(1, 34, 4))
+    assert sorted(key[0] for key in engine._failure_cache) == [125, 128]
+
+
+@pytest.mark.parametrize("injective", [False, True])
+def test_plain_loop_hands_over_where_a_failure_per_link_would(injective):
+    # The walk counts a failure per link and, when a hand-over is due, walks
+    # again to the link where the count first passed half of the index: the
+    # plain loop stops in the same state, at the same index, with the same
+    # matches as a loop that calls the failure function once per link.
+    # Early hand-over indexes let one long chain pass half of the index.
+    rng = random.Random(1910 + injective)
+    handed_over = 0
+    for _ in range(200):
+        P = periodic_pattern(rng, max_m=24)
+        pieces = [bytes(P.table.constant_bytes) or b"a", b"ab", b"abc", b"xyz"]
+        raw = b"".join(rng.choice(pieces) for _ in range(100))[:300]
+        T = encode_text(raw, P.table)
+        engine = KmpEngine(P, injective)
+        handover_at = rng.choice((2, 8, 64))
+        positions = []
+        state = engine._scan(T.codes, 0, 0, {}, positions, handover_at)
+        i, k, forward, expected = scan_by_failures(engine, T.codes, handover_at)
+        assert (*state, positions) == (i, k, forward, expected)
+        handed_over += i < len(T)
+    assert handed_over > 50
 
 
 def test_failure_cache_hands_out_copies():

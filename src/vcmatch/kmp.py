@@ -28,7 +28,10 @@ shifts whose cells accept the bindings: as in classical KMP, the state at
 link j accepts exactly the shifts below j that (k, bindings) accepts, and
 each link's bindings are read off the same window.  So the scan computes
 the set once per mismatched character, and each further link costs one
-test of the character against P[j].  The engine caches failure sets per
+test of the character against P[j].  A match is no special case: it leaves
+the scan in state k = m, which every character mismatches, so the character
+after it walks state m's chain, which may complete the next match.  The
+engine caches failure sets per
 (prefix length, bindings): an entry holds the top link j, its bindings,
 the code a character must be to fit P[j] under them, and the set's other
 shifts as an int.  The cache is flushed whenever it reaches
@@ -40,7 +43,8 @@ scan states (prefix length, bindings), and each transition is filled on
 first use by one character of the plain loop.  A warm engine's scan (its
 table holds states) starts in the DFA; any other hands over once failures,
 one per chain link, outnumber half of the characters read (from
-``DFA_HANDOVER_INDEX`` on).  A table whose size reaches ``DFA_TABLE_BYTES``
+``DFA_HANDOVER_INDEX`` on), before the character whose walk made them do
+so.  A table whose size reaches ``DFA_TABLE_BYTES``
 (estimated) is flushed, so memory stays bounded on any input, and the scan
 hands back to the plain loop for the rest of the text.
 
@@ -189,6 +193,9 @@ class KmpEngine:
         # shift j of prefix length k it takes the window code at
         # k - j + that position.
         self._link_sources = pattern.index_prefixes()[2]
+        # The plain loop's pattern codes, with a code no text character has
+        # at index m: the character after a match fails there.
+        self._codes = (*pattern.codes, 256)
         # (k, *binding values in variables_by_prefix[k] order) -> _failure_set's entry
         self._failure_cache: dict[tuple, tuple] = {}
         # Each variable's first position: built by the first walk past a top link.
@@ -200,13 +207,15 @@ class KmpEngine:
         self._lead = bytes((lead,)) if lead >= 0 else None
 
     def failure(self, k: int, pi: Substitution) -> tuple[int, Substitution]:
-        """Resume data after a mismatch at pattern position k+1.
+        """Resume data after a mismatch at pattern position k+1, or, at
+        k = m, after a match.
 
         Given the matched prefix length ``k`` and the bindings ``pi`` built
         over it (domain must equal the variables of that prefix; injective
         under pvc), return the largest shift j whose cell accepts ``pi``,
         together with the succeeding bindings for the first j positions.
-        Shift 0 always qualifies, so the result is well-defined.
+        Shift 0 always qualifies, so the result is well-defined.  This is
+        the top link of the chain that the scan walks (:meth:`_walk`).
         """
         m = len(self.pattern)
         if not 1 <= k <= m:
@@ -231,9 +240,7 @@ class KmpEngine:
             hit = self._failure_set(key, forward)
         return hit[0], hit[1].copy()
 
-    def _walk(
-        self, k: int, forward: dict[int, int], t: int, stop: int
-    ) -> tuple[int, dict[int, int], int]:
+    def _walk(self, k: int, forward: dict[int, int], t: int) -> tuple[int, dict[int, int], int]:
         """Resolve text code ``t`` after a mismatch at scan state (k, forward).
 
         The links of the failure chain are the shifts j in the failure set
@@ -242,10 +249,9 @@ class KmpEngine:
         (k, forward) accepts, and every shift reads its bindings off the
         same window.  So the set is computed once, and a link costs one
         test of t against P[j] under pi_j.  Returns the state after t at
-        the first link where t fits (k = 0 if none does), or, with ``stop``
-        >= 2, the state at link ``stop`` with t unread (link 1 is
-        :meth:`_failure_ids`); each with the number of links walked.  Only
-        the returned link's bindings are built.
+        the first link where t fits (k = 0 if none does; k = m if t
+        completes a match) and the number of links walked.  Only the
+        returned link's bindings are built.
         """
         key = (k, *forward.values())
         hit = self._failure_cache.get(key)
@@ -269,8 +275,6 @@ class KmpEngine:
             j = rest.bit_length() - 1
             rest ^= 1 << j
             links += 1
-            if links == stop:
-                return j, self._bindings(k, forward, j), links
             code = pcodes[j]
             if code < 0:
                 q = firsts[-1 - code]
@@ -398,22 +402,22 @@ class KmpEngine:
         subscript costs more than a tuple one while iterating costs the
         same, so the loop iterates from i.  A character that fails at k > 0
         is resolved by one :meth:`_walk` of its failure chain, which counts
-        a failure per link.  Appends the 1-based start of each match to
-        ``positions`` and returns the state (i, k, forward) it stops in: at
-        the end, or from index ``handover_at`` on as soon as failures
-        outnumber half of i.  i is then the index past a character that
-        completed a match, or the index of a character that failed, which
-        the next loop must read again from the chain's link where failures
-        first outnumbered half of i.  Given a ``lead``, the pattern's
-        leading constant code as 1 byte, ``tcodes`` must be ``bytes``: a
-        mismatch at k = 0 jumps to the lead's next occurrence, and the scan
-        ends at n when there is none.  The DFA fills its entries through
-        this loop, one character at a time and without a lead.
+        a failure per link.  A match leaves state k = m, where the scan's
+        codes hold 256, a code no text character has, so the next character
+        fails there and walks state m's chain.  Appends the 1-based start
+        of each match to ``positions`` and returns the state (i, k, forward)
+        it stops in: at the end, or, from index ``handover_at`` on, before
+        the first character whose walk makes failures outnumber half of its
+        index i, in the state that character found, unread.  Given a
+        ``lead``, the pattern's leading constant code as 1 byte, ``tcodes``
+        must be ``bytes``: a mismatch at k = 0 jumps to the lead's next
+        occurrence, and the scan ends at n when there is none.  The DFA
+        fills its entries through this loop, one character at a time and
+        without a lead.
         """
         injective = self.injective
-        pcodes = self.pattern.codes
-        m = len(pcodes)
-        failure = self._failure_ids
+        pcodes = self._codes
+        m = len(pcodes) - 1
         walk = self._walk
         failures = 0
         n = len(tcodes)
@@ -436,31 +440,20 @@ class KmpEngine:
                     ok = bound == t
             if ok:
                 k += 1
-                if k < m:
-                    continue
-                positions.append(n - chars.__length_hint__() - m + 1)
-                k, forward = failure(k, forward)
-                failures += 1
-                if failures * 2 > handover_at:  # else no hand-over can be due
-                    i = n - chars.__length_hint__()  # the index past t
-                    if i >= handover_at and failures * 2 > i:
-                        return i, k, forward
+                if k == m:
+                    positions.append(n - chars.__length_hint__() - m + 1)
                 continue
             if k:
-                j, succeeding, links = walk(k, forward, t, 0)
+                j, succeeding, links = walk(k, forward, t)
                 failures += links
-                if failures * 2 > handover_at:
+                if failures * 2 > handover_at:  # else no hand-over can be due
                     i = n - chars.__length_hint__() - 1  # t's index
                     if i >= handover_at and failures * 2 > i:
-                        # Stop at the first link whose count passes i / 2.
-                        stop = i // 2 - (failures - links) + 1
-                        if stop > 1:
-                            k, forward, _ = walk(k, forward, t, stop)
-                        else:
-                            k, forward = failure(k, forward)
                         return i, k, forward
                 k, forward = j, succeeding
                 if k:
+                    if k == m:
+                        positions.append(n - chars.__length_hint__() - m + 1)
                     continue
             if lead is not None:  # a pointer test: cheaper than bytes truth
                 i = tcodes.find(lead, n - chars.__length_hint__())
@@ -528,7 +521,9 @@ class KmpEngine:
         k = key[0]
         matched: list[int] = []
         forward = dict(zip(self.pattern.variables_by_prefix[k], key[1:]))
-        _, k, forward = self._scan((code,), 0, k, forward, matched, 2)  # 2: never hand over
+        # The one character is at index 0, below any hand-over index >= 1;
+        # 2 also spares a one-link walk the index computation.
+        _, k, forward = self._scan((code,), 0, k, forward, matched, 2)
         target = dfa.state((k, *forward.values()))
         if matched:
             dfa.emits[id(row), code] = target

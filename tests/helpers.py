@@ -248,16 +248,21 @@ def failure_chain(engine, k: int, forward: dict[int, int], t: int):
 
 
 def scan_by_failures(engine, codes, handover_at: int):
-    """Reference for the kmp plain loop without a lead: ``failure_chain``
-    per mismatch, and the hand-over test after every failure call, at index
-    ``handover_at`` or later as soon as failures outnumber half of the
-    index.  Returns (i, k, forward, positions) like ``KmpEngine._scan``."""
+    """Reference for the kmp plain loop without a lead: a match leaves state
+    k = m, which every character mismatches, and each mismatch runs
+    ``failure_chain``, counting a failure per link.  After a character's
+    chain, from index ``handover_at`` on, failures that outnumber half of
+    the index hand over before that character: the state returned is the
+    one the character found.  Returns (i, k, forward, positions) like
+    ``KmpEngine._scan``."""
     pattern = engine.pattern
     m = len(pattern)
     k, forward, failures, positions = 0, {}, 0, []
     for i, t in enumerate(codes):
-        code = pattern.codes[k]
-        if code >= 0:
+        code = pattern.codes[k] if k < m else None  # k = m: no symbol to fit
+        if code is None:
+            fits = False
+        elif code >= 0:
             fits = code == t
         elif -1 - code in forward:
             fits = forward[-1 - code] == t
@@ -267,17 +272,12 @@ def scan_by_failures(engine, codes, handover_at: int):
                 forward[-1 - code] = t
         if fits:
             k += 1
-            if k == m:
-                positions.append(i + 2 - m)
-                j, pi = engine.failure(k, Substitution(forward))
-                k, forward = j, {vid: pi.forward[vid] for vid in pattern.variables_by_prefix[j]}
-                failures += 1
-                if i + 1 >= handover_at and failures * 2 > i + 1:
-                    return i + 1, k, forward, positions
         elif k:
-            links, (k, forward) = failure_chain(engine, k, forward, t)
-            for j, link in links:
-                failures += 1
-                if i >= handover_at and failures * 2 > i:
-                    return i, j, link, positions
+            links, after = failure_chain(engine, k, forward, t)
+            failures += len(links)
+            if i >= handover_at and failures * 2 > i:
+                return i, k, forward, positions
+            k, forward = after
+        if k == m:
+            positions.append(i + 2 - m)
     return len(codes), k, forward, positions

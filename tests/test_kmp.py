@@ -285,8 +285,7 @@ def test_cached_scans_equal_the_oracle(cap, mode, chunk_width, monkeypatch, capl
 @pytest.mark.parametrize("injective", [False, True])
 def test_walk_equals_the_failure_chain(injective):
     # One failure set per mismatched character: the walk reaches the state
-    # that a failure call and a retest per link reach, in as many links,
-    # and stopped at link L >= 2 it returns that link's state, t unread.
+    # that a failure call and a retest per link reach, in as many links.
     rng = random.Random(1900 + injective)
     deep = 0
     for trial in range(300):
@@ -300,12 +299,10 @@ def test_walk_equals_the_failure_chain(injective):
             forward = draw_bindings(rng, P, k, injective)
             t = rng.randrange(P.table.num_constants + 1)  # the last code: no pattern constant
             links, after = failure_chain(engine, k, forward, t)
-            j, succeeding, count = engine._walk(k, dict(forward), t, 0)
+            j, succeeding, count = engine._walk(k, dict(forward), t)
             assert (j, succeeding, count) == (*after, len(links))
             assert list(succeeding) == list(P.variables_by_prefix[j])  # the scan's key order
             assert engine._failure_ids(k, dict(forward)) == links[0]
-            for stop in range(2, len(links) + 1):
-                assert engine._walk(k, dict(forward), t, stop) == (*links[stop - 1], stop)
             deep += len(links) > 2
     assert deep > 100
 
@@ -326,12 +323,26 @@ def test_a_failing_character_computes_its_failure_set_once(injective):
 
 
 @pytest.mark.parametrize("injective", [False, True])
+def test_a_match_resolves_through_the_next_characters_chain(injective):
+    # (aABC)*2 over "axyz"*2 + "q": the match leaves the scan in state
+    # k = 8, and "q" fails there.  Its walk down state 8's chain (links 4
+    # and 0) is the only failure-set computation: no set is computed for
+    # the match itself, nor for state 4.
+    P, T = classify_input(b"aABC" * 2, b"axyz" * 2 + b"q")
+    engine = KmpEngine(P, injective)
+    positions = engine.find_all(T).positions
+    assert positions == naive_all(P, T, mode="pvc" if injective else "fvc").positions
+    assert positions == [1]
+    assert [key[0] for key in engine._failure_cache] == [8]
+
+
+@pytest.mark.parametrize("injective", [False, True])
 def test_plain_loop_hands_over_where_a_failure_per_link_would(injective):
-    # The walk counts a failure per link and, when a hand-over is due, walks
-    # again to the link where the count first passed half of the index: the
-    # plain loop stops in the same state, at the same index, with the same
-    # matches as a loop that calls the failure function once per link.
-    # Early hand-over indexes let one long chain pass half of the index.
+    # The walk counts a failure per link, and a hand-over due after a
+    # character's walk leaves before that character: the plain loop stops
+    # in the same state, at the same index, with the same matches as a
+    # loop that calls the failure function once per link.  Early hand-over
+    # indexes let one long chain pass half of the index.
     rng = random.Random(1910 + injective)
     handed_over = 0
     for _ in range(200):
@@ -487,7 +498,10 @@ def test_dfa_flush_hands_back_and_keeps_positions(mode, monkeypatch, caplog):
     texts = [[bytes(rng.choice(b"abcd") for _ in range(2500)) for _ in range(3)] for _ in patterns]
     matchers = [make_matcher("kmp", mode=mode).fit(p) for p in patterns]
     for matcher, (first, *_) in zip(matchers, texts):
-        matcher.predict(first)  # each DFA is warm before its cap shrinks
+        # Each DFA is warm before its cap shrinks: the second search starts
+        # in the DFA and fills the states the first one's hand-over left.
+        matcher.predict(first)
+        matcher.predict(first)
     monkeypatch.setattr(kmp, "DFA_TABLE_BYTES", 1)  # every table is full at its first fill
     with caplog.at_level(logging.DEBUG, logger="vcmatch.kmp"):
         for praw, matcher, pair in zip(patterns, matchers, texts):

@@ -7,10 +7,12 @@ leak into the expectations.
 
 from __future__ import annotations
 
+import itertools
 import random
 import string
 
-from vcmatch.core import PatternString, Substitution, classify_input
+from vcmatch.core import MODES, PatternString, Substitution, classify_input
+from vcmatch.matchers import ALGORITHMS, make_matcher
 
 
 def classify(pattern, text, variables=None):
@@ -281,3 +283,50 @@ def scan_by_failures(engine, codes, handover_at: int):
         if k == m:
             positions.append(i + 2 - m)
     return len(codes), k, forward, positions
+
+
+def de_bruijn(alphabet: str, n: int) -> str:
+    """The de Bruijn sequence B(len(alphabet), n), linearized: its cyclic
+    form with the first n - 1 characters appended, so every string of
+    length <= n over ``alphabet`` occurs in it as a window."""
+    k = len(alphabet)
+    a = [0] * (n + 1)
+    out: list[int] = []
+
+    def extend(t: int, p: int) -> None:  # Fredricksen-Kessler-Maiorana
+        if t > n:
+            if n % p == 0:
+                out.extend(a[1 : p + 1])
+            return
+        a[t] = a[t - p]
+        extend(t + 1, p)
+        for symbol in range(a[t - p] + 1, k):
+            a[t] = symbol
+            extend(t + 1, t)
+
+    extend(1, 1)
+    cyclic = "".join(alphabet[symbol] for symbol in out)
+    return cyclic + cyclic[: n - 1]
+
+
+def exhaustive_disagreements(max_length: int) -> list[tuple[bytes, str, dict]]:
+    """Every pattern of length 1..``max_length`` over ``abABC``, in both
+    modes, on the linearized de Bruijn text B(3, 6) over ``abc`` (734
+    characters: every window content of length <= 6 occurs, and the text
+    is long enough for kmp to hand over to its DFA).  Each backend fits
+    once and searches twice, so kmp's second search starts warm.  Returns
+    (pattern, mode, reports) for each pair whose answers are not all
+    naive's first one."""
+    text = de_bruijn("abc", 6).encode()
+    bad = []
+    for length in range(1, max_length + 1):
+        for praw in map(bytes, itertools.product(b"abABC", repeat=length)):
+            for mode in MODES:
+                reports = {}
+                for algo in ALGORITHMS:
+                    matcher = make_matcher(algo, mode=mode).fit(praw)
+                    reports[algo] = matcher.predict(text)
+                    reports[f"{algo} searched again"] = matcher.predict(text)
+                if any(positions != reports["naive"] for positions in reports.values()):
+                    bad.append((praw, mode, reports))
+    return bad

@@ -4,7 +4,7 @@ import pytest
 
 import vcmatch.matchers
 import vcmatch.naive
-from helpers import image_codes
+from helpers import de_bruijn, exhaustive_disagreements, image_codes
 from vcmatch.core import MODES
 from vcmatch.crosscheck import generate_case, run_crosscheck
 from vcmatch.matchers import (
@@ -191,3 +191,12 @@ def test_crosscheck_catches_a_second_search_that_differs(corrupt, monkeypatch):
     assert failure.reports["kmp"] == failure.reports["naive"]
     again = failure.reports["kmp searched again"]
     assert again == (failure.reports["kmp"][1:] if corrupt == "positions" else failure.reports["kmp"])
+
+
+def test_every_pattern_up_to_length_4_agrees_exhaustively():
+    # 780 patterns over abABC, both modes, every backend searched twice, on
+    # a text that holds every window content of length <= 6: the kmp scan
+    # meets each and hands over to its DFA.
+    text = de_bruijn("abc", 6)
+    assert len({text[i : i + 6] for i in range(len(text) - 5)}) == 3**6 == len(text) - 5
+    assert exhaustive_disagreements(4) == []

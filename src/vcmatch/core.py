@@ -219,25 +219,22 @@ class PatternString(Record):
         """For each prefix length j, the distinct variable ids in the first j symbols."""
         return self.index_prefixes()[0]
 
-    def index_prefixes(self) -> tuple[tuple, tuple, list]:
-        """``variables_by_prefix``, ``first_occurrences`` and, for each
-        prefix length j, the first occurrences of the variables in the first
-        j symbols, built in one pass; stores the first two on the instance.
-        Prefix lengths with the same variables share one tuple."""
+    def index_prefixes(self) -> tuple[tuple, tuple]:
+        """``variables_by_prefix`` and ``first_occurrences``, built in one
+        pass and stored on the instance.  Prefix lengths with the same
+        variables share one tuple."""
         by_prefix: list[tuple[int, ...]] = [()]
-        firsts_by_prefix: list[tuple[tuple[int, int], ...]] = [()]
         vids: tuple[int, ...] = ()
-        firsts: tuple[tuple[int, int], ...] = ()
+        firsts: list[tuple[int, int]] = []
         for q, code in enumerate(self.codes):
             if code < 0 and -1 - code not in vids:
                 vids = (*vids, -1 - code)
-                firsts = (*firsts, (-1 - code, q))
+                firsts.append((-1 - code, q))
             by_prefix.append(vids)
-            firsts_by_prefix.append(firsts)
         indexes = self.__dict__
         indexes["variables_by_prefix"] = variables_by_prefix = tuple(by_prefix)
-        indexes["first_occurrences"] = firsts
-        return variables_by_prefix, firsts, firsts_by_prefix
+        indexes["first_occurrences"] = firsts = tuple(firsts)
+        return variables_by_prefix, firsts
 
 
 class TextString(Record):

@@ -16,30 +16,31 @@ is cell (k-1, j-1) plus one aligned pair, so the fit (:func:`diagonal_rows`)
 walks every diagonal d = k - j once, holding one mutable cell state per
 live diagonal and one int mask over the diagonals per event (a pin, tie or
 clash); only a pair that changes a state flips a bit.  Each prefix length's
-rows are built from those masks as the walk reaches it.  A prefix
-variable's link, which rebuilds the succeeding bindings after a shift, is
-read off the pattern: the window code aligned with its first occurrence.
+rows are built from those masks as the walk reaches it.
 pvc needs no tie rows: the preceding bindings are injective by
 construction, and live pvc cells never tie two window variables together.
 
-A mismatch at scan state (k, bindings) resolves through the failure chain,
-whose links are the shifts j in the failure set of (k, bindings), the
-shifts whose cells accept the bindings: as in classical KMP, the state at
-link j accepts exactly the shifts below j that (k, bindings) accepts, and
-each link's bindings are read off the same window.  So the scan computes
-the set once per mismatched character, and each further link costs one
-test of the character against P[j].  A match is no special case: it leaves
-the scan in state k = m, which every character mismatches, so the character
-after it walks state m's chain, which may complete the next match.  The
-engine caches failure sets per
-(prefix length, bindings): an entry holds the top link j, its bindings,
-the code a character must be to fit P[j] under them, and the set's other
-shifts as an int.  The cache is flushed whenever it reaches
-``FAILURE_CACHE_CAP`` entries.
+A scan state is a prefix length k at a text index i: the window
+``tcodes[i-k:i]`` matches P[1:k], and every binding is read off it, the
+window code under the variable's first occurrence.  Constant positions are
+fixed, so the window maps one to one onto (k, bindings), and the scan
+keeps nothing else.  A mismatch at state k resolves through the failure
+chain, whose links are the shifts j in the window's failure set, the
+shifts whose cells accept its bindings: as in classical KMP, the state at
+link j, the window's last j codes, accepts exactly the shifts below j that
+the window accepts.  So the scan computes the set once per mismatched
+character, and each further link costs one test of the character against
+P[j], a constant or a window code.  A match is no special case: it leaves
+the scan in state k = m, which every character mismatches, so the
+character after it walks state m's chain, which may complete the next
+match.  The engine caches failure sets keyed by the window's bytes: an
+entry holds the top link j, the code a character must be to fit P[j], and
+the set's other shifts as an int.  The cache is flushed whenever it
+reaches ``FAILURE_CACHE_CAP`` entries.
 
 Where failures run dense, the scan itself becomes a lazily built DFA, as in
 RE2 (Cox, "Regular Expression Matching in the Wild"): its states are the
-scan states (prefix length, bindings), and each transition is filled on
+windows, as ``bytes`` (k is the length), and each transition is filled on
 first use by one character of the plain loop.  A warm engine's scan (its
 table holds states) starts in the DFA; any other hands over once failures,
 one per chain link, outnumber half of the characters read (from
@@ -61,13 +62,14 @@ from __future__ import annotations
 
 import logging
 import time
-from collections.abc import Sequence
+from operator import itemgetter
 
 from .core import PatternString, Substitution, TextString
 from .kmp_rows import MACHINE_WORD, BitmapSet, add_rows, row_counts, unfilled_rows
 from .naive import MatchReport
 
-# About 3 MiB of cached failure results with 26 variables.
+# About 0.4 MiB of cached failure sets for A..Z then a constant (m = 27):
+# an entry's key is its window, up to m bytes.
 FAILURE_CACHE_CAP = 2048
 # A cold scan (a warm one starts in the DFA) hands over to the lazy DFA at
 # the first failure from this text index on where failures outnumber half of
@@ -85,10 +87,13 @@ DFA_TABLE_BYTES = 1 << 19
 # with it at 1 in 8 and x0.41-0.70 at 1 in 32, but x0.96-1.20 at 1 in 2 to 4.
 # Texts of 1-50 characters (perfbench's crosscheck-tiny) read level with it.
 SKIP_DENSITY = 8
-# Estimated bytes of a state beyond its key's values and row's entries (the
-# tuple and list headers and a dict slot), and of an edge completing a match.
+# Estimated bytes of a state beyond its key's codes and row's entries (the
+# bytes and list headers and a dict slot), and of an edge completing a match.
 _STATE_BYTES = 160
 _EDGE_BYTES = 128
+# The scan's code for a variable's first occurrence: below any offset back
+# to a first occurrence (-m..-1).
+_FIRST = -(1 << 62)
 
 logger = logging.getLogger(__name__)
 
@@ -121,29 +126,29 @@ def diagonal_rows(
 class _Dfa:
     """The scan as a lazily built DFA, one per engine.
 
-    A state is a scan state (k, *binding values in variables_by_prefix[k]
-    order), the failure cache's key format, between two characters of the
-    plain loop.  Its row is a list indexed by text code, holding the row of
-    the state that code leads to, and the key in its last slot: a warm step
-    is one subscript.  An entry is None until filled, and stays None for an
-    edge that completes a match; ``emits`` holds those, keyed by
-    (id(source row), code), so that only matches leave the fast path.
+    A state is a scan state's window, the ``bytes`` the failure cache keys
+    on (k is its length), between two characters of the plain loop.  Its
+    row is a list indexed by text code, holding the row of the state that
+    code leads to, and the key in its last slot: a warm step is one
+    subscript.  An entry is None until filled, and stays None for an edge
+    that completes a match; ``emits`` holds those, keyed by (id(source
+    row), code), so that only matches leave the fast path.
     """
 
     __slots__ = ("rows", "emits", "width", "nbytes")
 
     def __init__(self, width: int) -> None:
-        self.rows: dict[tuple, list] = {}
+        self.rows: dict[bytes, list] = {}
         self.emits: dict[tuple[int, int], list] = {}
         self.width = width
         self.nbytes = 0
 
-    def state(self, key: tuple) -> list:
+    def state(self, key: bytes) -> list:
         row = self.rows.get(key)
         if row is None:
             row = self.rows[key] = [None] * (self.width + 1)
             row[-1] = key
-            self.nbytes += _STATE_BYTES + 8 * (len(key) + self.width)
+            self.nbytes += _STATE_BYTES + len(key) + 8 * self.width
         return row
 
     def widen(self, width: int) -> None:
@@ -169,7 +174,7 @@ class KmpEngine:
     """Preprocessed pattern: bit rows only.
 
     The bit rows are immutable after construction; each text scan keeps its
-    own cursor and bindings, so one instance may serve many texts.  The
+    own cursor and prefix length, so one instance may serve many texts.  The
     state that grows during searches, the failure cache and the DFA table,
     is a pure cache: answers never depend on what it holds.
     """
@@ -189,17 +194,38 @@ class KmpEngine:
                 "kmp fit: mode=%s m=%d live_cells=%d bit_row_bytes=%d fit_ns=%d",
                 "pvc" if injective else "fvc", len(pattern), live, nbytes, fit_ns,
             )
-        # Per shift j, each prefix variable with its first position: after
-        # shift j of prefix length k it takes the window code at
-        # k - j + that position.
-        self._link_sources = pattern.index_prefixes()[2]
-        # The plain loop's pattern codes, with a code no text character has
-        # at index m: the character after a match fails there.
-        self._codes = (*pattern.codes, 256)
-        # (k, *binding values in variables_by_prefix[k] order) -> _failure_set's entry
-        self._failure_cache: dict[tuple, tuple] = {}
-        # Each variable's first position: built by the first walk past a top link.
-        self._firsts: dict[int, int] | None = None
+        # One pass over the pattern.  The scan's codes: a constant's code; at
+        # a variable's first occurrence, _FIRST; at a later one q, the offset
+        # from q back to the first, which reads its binding off the window.
+        # At index m, a code no text character has: the character after a
+        # match fails there.  Per prefix length, the reader of the binding
+        # values off its window, in first-occurrence order (``_vids``): a
+        # bytes slice where the first positions are consecutive (also for
+        # fewer than two, where itemgetter would return a bare code), else a
+        # tuple.
+        self._first = first = {}  # pattern code -> first position
+        firsts: list[int] = []
+        codes: list[int] = []
+        reader = itemgetter(slice(0))
+        bound = [reader]
+        for q, code in enumerate(pattern.codes):
+            if code < 0:
+                if code in first:
+                    code = first[code] - q
+                else:
+                    first[code] = q
+                    firsts.append(q)
+                    lo = firsts[0]
+                    consecutive = q - lo == len(firsts) - 1
+                    reader = itemgetter(slice(lo, q + 1)) if consecutive else itemgetter(*firsts)
+                    code = _FIRST
+            codes.append(code)
+            bound.append(reader)
+        codes.append(256)
+        self._codes = tuple(codes)
+        self._bound = bound
+        self._vids = [-1 - code for code in first]
+        self._failure_cache: dict[bytes, tuple] = {}  # window -> _failure_set's entry
         self._dfa: _Dfa | None = None  # built by the first scan that hands over
         # The leading constant's text code as 1 byte (None for a leading
         # variable): the plain loop's jump target.
@@ -222,123 +248,89 @@ class KmpEngine:
             raise ValueError(f"prefix length {k} out of range 1..{m}")
         if self.injective and not pi.is_injective:
             raise ValueError("preceding bindings must be injective")
-        expected = set(self.pattern.variables_by_prefix[k])
-        if set(pi.forward) != expected:
+        if set(pi.forward) != set(self.pattern.variables_by_prefix[k]):
             raise ValueError("bindings must cover exactly the variables of the prefix")
-        # The cache keys on binding values alone, so they go in scan order.
-        forward = {vid: pi.forward[vid] for vid in self.pattern.variables_by_prefix[k]}
-        j, forward = self._failure_ids(k, forward)
+        j, forward = self._failure_ids(k, pi.forward)
         return j, Substitution(forward)
 
     def _failure_ids(self, k: int, forward: dict[int, int]) -> tuple[int, dict[int, int]]:
-        """``failure`` on raw ids: the failure chain's top link.  ``forward``'s
-        keys must be in ``variables_by_prefix[k]`` order, as the scan inserts
-        them.  The returned dict is the caller's to mutate."""
-        key = (k, *forward.values())
-        hit = self._failure_cache.get(key)
-        if hit is None:
-            hit = self._failure_set(key, forward)
-        return hit[0], hit[1].copy()
+        """``failure`` on raw ids: the failure chain's top link, for the
+        window that ``forward`` binds P[1:k] to, and the bindings that
+        link reads off the window."""
+        window = bytes(c if c >= 0 else forward[-1 - c] for c in self.pattern.codes[:k])
+        j = (self._failure_cache.get(window) or self._failure_set(window))[0]
+        values = self._bound[j](window[k - j :])
+        return j, dict(zip(self._vids, values))
 
-    def _walk(self, k: int, forward: dict[int, int], t: int) -> tuple[int, dict[int, int], int]:
-        """Resolve text code ``t`` after a mismatch at scan state (k, forward).
+    def _walk(self, window: bytes, t: int) -> tuple[int, int]:
+        """Resolve text code ``t`` after a mismatch at the scan state whose
+        window is ``window``.
 
-        The links of the failure chain are the shifts j in the failure set
-        of (k, forward), the shifts whose cells accept its bindings, from
-        the largest down: (j, pi_j) accepts exactly the shifts below j that
-        (k, forward) accepts, and every shift reads its bindings off the
-        same window.  So the set is computed once, and a link costs one
-        test of t against P[j] under pi_j.  Returns the state after t at
-        the first link where t fits (k = 0 if none does; k = m if t
-        completes a match) and the number of links walked.  Only the
-        returned link's bindings are built.
+        The links of the failure chain are the shifts j in the window's
+        failure set, the shifts whose cells accept its bindings, from the
+        largest down: the state at link j, the window's last j codes,
+        accepts exactly the shifts below j that the window accepts.  So the
+        set is computed once, and a link costs one test of t against P[j].
+        Returns the prefix length after t, j + 1 at the first link j where
+        t fits (0 if none does; m if t completes a match), and the number
+        of links walked.
         """
-        key = (k, *forward.values())
-        hit = self._failure_cache.get(key)
+        hit = self._failure_cache.get(window)
         if hit is None:
-            hit = self._failure_set(key, forward)
-        j, succeeding, want, rest = hit
+            hit = self._failure_set(window)
+        j, want, rest = hit
         if want == t:
-            return j + 1, succeeding.copy(), 1
-        if want < 0 and not (self.injective and t in succeeding.values()):
-            succeeding = succeeding.copy()
-            succeeding[-1 - want] = t
-            return j + 1, succeeding, 1
-        if not rest:
-            return 0, {}, 1
-        firsts = self._firsts
-        if firsts is None:
-            firsts = self._firsts = dict(self._link_sources[-1])
-        pcodes = self.pattern.codes
+            return j + 1, 1
+        k = len(window)
+        injective = self.injective
+        if want < 0 and not (injective and t in self._bound[j](window[k - j :])):
+            return j + 1, 1
+        pcodes = self._codes
         links = 1
         while rest:
             j = rest.bit_length() - 1
             rest ^= 1 << j
             links += 1
             code = pcodes[j]
-            if code < 0:
-                q = firsts[-1 - code]
-                if q == j:  # P[j] binds its variable (under pvc, to a free t)
-                    succeeding = self._bindings(k, forward, j)
-                    if self.injective and t in succeeding.values():
-                        continue
-                    succeeding[-1 - code] = t
-                    return j + 1, succeeding, links
-                code = pcodes[k - j + q]  # the window code bound to it
-                if code < 0:
-                    code = forward[-1 - code]
-            if code == t:
-                return j + 1, self._bindings(k, forward, j), links
-        return 0, {}, links
+            if code == _FIRST:  # P[j] binds its variable (under pvc, to a free t)
+                if not (injective and t in self._bound[j](window[k - j :])):
+                    return j + 1, links
+            elif (code if code >= 0 else window[k + code]) == t:
+                return j + 1, links
+        return 0, links
 
-    def _failure_set(self, key: tuple, forward: dict[int, int]) -> tuple:
-        """Compute the failure set of (k, forward), the shifts whose cells
-        accept the bindings, and cache it under ``key``."""
-        k = key[0]
+    def _failure_set(self, window: bytes) -> tuple:
+        """Compute the failure set of ``window``, the shifts whose cells
+        accept the bindings read off it, and cache it under ``window``."""
+        k = len(window)
         cache = self._failure_cache
         bitmaps = self.bitmaps
         bits = bitmaps.valid[k]
         values = bitmaps.allow_value[k]
         defaults = bitmaps.allow_value_default[k]
         if values or defaults:  # else every binding reads the live row
-            for vid, cid in forward.items():
+            for vid, cid in zip(self._vids, self._bound[k](window)):
                 row = values.get((vid, cid))
                 if row is None:
                     row = defaults.get(vid)
                 if row is not None:
                     bits &= row
         if not self.injective:
+            first = self._first
             for (x, y), row in bitmaps.allow_distinct[k].items():
-                if forward[x] != forward[y]:
+                if window[first[-1 - x]] != window[first[-1 - y]]:
                     bits &= row
         j = bits.bit_length() - 1
-        codes = self.pattern.codes
-        base = k - j
-        succeeding = {}  # _bindings, inline: misses are most of a short search's failures
-        for vid, q in self._link_sources[j]:
-            code = codes[base + q]
-            succeeding[vid] = code if code >= 0 else forward[-1 - code]
-        want = codes[j]
+        want = self._codes[j]
         if want < 0:
-            want = succeeding.get(-1 - want, want)
+            want = -1 if want == _FIRST else window[k + want]
         if len(cache) >= FAILURE_CACHE_CAP:
             logger.debug("kmp failure cache flushed at %d entries", len(cache))
             cache.clear()
-        # The entry: the top link j, its bindings, the code t must be to
-        # fit P[j] under them (-1 - v when P[j] is v's first occurrence),
-        # and the set's other shifts.
-        entry = cache[key] = (j, succeeding, want, bits ^ (1 << j))
+        # The entry: the top link j, the code t must be to fit P[j] (-1 when
+        # P[j] is a variable's first occurrence), and the set's other shifts.
+        entry = cache[window] = (j, want, bits ^ (1 << j))
         return entry
-
-    def _bindings(self, k: int, forward: dict[int, int], j: int) -> dict[int, int]:
-        """pi_j: shift j's bindings, read off the window of (k, forward)."""
-        codes = self.pattern.codes
-        base = k - j
-        succeeding: dict[int, int] = {}
-        for vid, q in self._link_sources[j]:
-            code = codes[base + q]
-            succeeding[vid] = code if code >= 0 else forward[-1 - code]
-        return succeeding
 
     def find_all(self, text: TextString) -> MatchReport:
         """Scan the text once, shifting through the failure rows on mismatch.
@@ -359,20 +351,20 @@ class KmpEngine:
         positions: list[int] = []
         warm = self._dfa is not None and bool(self._dfa.rows)  # a flush empties rows
         if warm:
-            i, k, forward, lead = 0, 0, {}, None
+            i, k, lead = 0, 0, None
         else:
             lead = self._skip_lead(tcodes)
-            i, k, forward = self._scan(tcodes, 0, 0, {}, positions, DFA_HANDOVER_INDEX, lead)
+            i, k = self._scan(tcodes, 0, 0, positions, DFA_HANDOVER_INDEX, lead)
         handover = handback = None
         fills = 0
         if i < n:
             handover = i
-            i, k, forward, fills = self._dfa_scan(text, i, k, forward, positions)
+            i, k, fills = self._dfa_scan(text, i, k, positions)
             if i < n:
                 handback = i
                 if warm:
                     lead = self._skip_lead(tcodes)
-                self._scan(tcodes, i, k, forward, positions, n + 1, lead)
+                self._scan(tcodes, i, k, positions, n + 1, lead)
         if logger.isEnabledFor(logging.DEBUG):
             dfa = self._dfa
             logger.debug(
@@ -393,83 +385,79 @@ class KmpEngine:
         return lead
 
     def _scan(
-        self, tcodes: Sequence[int], i: int, k: int, forward: dict[int, int],
-        positions: list[int], handover_at: int, lead: bytes | None = None,
-    ) -> tuple[int, int, dict[int, int]]:
-        """The plain loop over ``tcodes[i:]`` from scan state (k, forward).
+        self, tcodes: bytes, i: int, k: int, positions: list[int], handover_at: int,
+        lead: bytes | None = None,
+    ) -> tuple[int, int]:
+        """The plain loop over ``tcodes[i:]`` from prefix length k, whose
+        window is ``tcodes[i-k:i]``.
 
-        ``tcodes`` is a text's codes, ``bytes`` or a tuple.  A ``bytes``
-        subscript costs more than a tuple one while iterating costs the
-        same, so the loop iterates from i.  A character that fails at k > 0
-        is resolved by one :meth:`_walk` of its failure chain, which counts
-        a failure per link.  A match leaves state k = m, where the scan's
-        codes hold 256, a code no text character has, so the next character
-        fails there and walks state m's chain.  Appends the 1-based start
-        of each match to ``positions`` and returns the state (i, k, forward)
-        it stops in: at the end, or, from index ``handover_at`` on, before
-        the first character whose walk makes failures outnumber half of its
-        index i, in the state that character found, unread.  Given a
-        ``lead``, the pattern's leading constant code as 1 byte, ``tcodes``
-        must be ``bytes``: a mismatch at k = 0 jumps to the lead's next
-        occurrence, and the scan ends at n when there is none.  The DFA
-        fills its entries through this loop, one character at a time and
-        without a lead.
+        A bound variable's character is tested against the window code
+        under its first occurrence; under pvc, a variable's first character
+        against the codes under the other variables' first occurrences.  A
+        character that fails at k > 0 is resolved by one :meth:`_walk` of
+        its window's failure chain, which counts a failure per link.  A
+        match leaves state k = m, where the scan's codes hold 256, a code no
+        text character has, so the next character fails there and walks
+        state m's chain.  Appends the 1-based start of each match to
+        ``positions`` and returns the state (i, k) it stops in: at the end,
+        or, from index ``handover_at`` on, before the first character whose
+        walk makes failures outnumber half of its index i, in the state
+        that character found, unread.  Given a ``lead``, the pattern's
+        leading constant code as 1 byte, a mismatch at k = 0 jumps to the
+        lead's next occurrence, and the scan ends at n when there is none.
+        The DFA fills its entries through this loop, one character at a time
+        and without a lead.
         """
         injective = self.injective
         pcodes = self._codes
+        bound = self._bound
+        first = _FIRST
         m = len(pcodes) - 1
         walk = self._walk
         failures = 0
         n = len(tcodes)
         chars = iter(tcodes)
-        if i:
+        while True:
             chars.__setstate__(i)
-        for t in chars:
-            code = pcodes[k]
-            if code >= 0:
-                ok = code == t
-            else:
-                vid = -1 - code
-                bound = forward.get(vid)
-                if bound is None:
-                    # pvc: a value bound to another variable is a mismatch
-                    ok = not injective or t not in forward.values()
-                    if ok:
-                        forward[vid] = t
+            for i, t in enumerate(chars, i):
+                code = pcodes[k]
+                if code >= 0:
+                    ok = code == t
+                elif code != first:
+                    ok = tcodes[i + code] == t
                 else:
-                    ok = bound == t
-            if ok:
-                k += 1
-                if k == m:
-                    positions.append(n - chars.__length_hint__() - m + 1)
-                continue
-            if k:
-                j, succeeding, links = walk(k, forward, t)
-                failures += links
-                if failures * 2 > handover_at:  # else no hand-over can be due
-                    i = n - chars.__length_hint__() - 1  # t's index
-                    if i >= handover_at and failures * 2 > i:
-                        return i, k, forward
-                k, forward = j, succeeding
-                if k:
+                    ok = not injective or t not in bound[k](tcodes[i - k : i])
+                if ok:
+                    k += 1
                     if k == m:
-                        positions.append(n - chars.__length_hint__() - m + 1)
+                        positions.append(i - m + 2)
                     continue
-            if lead is not None:  # a pointer test: cheaper than bytes truth
-                i = tcodes.find(lead, n - chars.__length_hint__())
-                if i < 0:
-                    return n, 0, {}
-                chars.__setstate__(i)
-        return n, k, forward
+                if k:
+                    after, links = walk(tcodes[i - k : i], t)
+                    failures += links
+                    if failures * 2 > i >= handover_at:
+                        return i, k
+                    k = after
+                    if k:
+                        if k == m:
+                            positions.append(i - m + 2)
+                        continue
+                if lead is not None:  # a pointer test: cheaper than bytes truth
+                    i = tcodes.find(lead, i + 1)
+                    if i < 0:
+                        return n, 0
+                    break
+            else:
+                return n, k
 
     def _dfa_scan(
-        self, text: TextString, i: int, k: int, forward: dict[int, int], positions: list[int]
-    ) -> tuple[int, int, dict[int, int], int]:
-        """The lazy DFA over the text from index i and scan state (k, forward).
+        self, text: TextString, i: int, k: int, positions: list[int]
+    ) -> tuple[int, int, int]:
+        """The lazy DFA over the text from index i and prefix length k.
 
         A warm step is one subscript; a missing entry is filled by
-        :meth:`_fill`.  Returns (i, k, forward, fills): i is n, or the index
-        where the table filled up and the plain loop should take over.
+        :meth:`_fill`.  Returns (i, k, fills): i is n, or the index where
+        the table filled up and the plain loop should take over.
         """
         width = text.table.num_constants
         dfa = self._dfa
@@ -479,7 +467,7 @@ class KmpEngine:
             dfa.widen(width)
         m, n = len(self.pattern), len(text)
         emits = dfa.emits
-        row = dfa.state((k, *forward.values()))
+        row = dfa.state(text.codes[i - k : i])
         fills = 0
         codes = iter(text.codes)
         codes.__setstate__(i)
@@ -505,26 +493,23 @@ class KmpEngine:
                     continue
             positions.append(i - m + 1)
             row = target
-        key = row[-1]
+        k = len(row[-1])
         if i < n:
             logger.debug("kmp dfa flushed at %d states, %d bytes", len(dfa.rows), dfa.nbytes)
             dfa.clear()
-        k = key[0]
-        return i, k, dict(zip(self.pattern.variables_by_prefix[k], key[1:])), fills
+        return i, k, fills
 
     def _fill(self, dfa: "_Dfa", row: list, code: int) -> tuple[list, bool]:
         """Record the edge from ``row``'s state on ``code``: one character of
         the plain loop.  Returns the target row, and whether the edge
         completes a match.
         """
-        key = row[-1]
-        k = key[0]
+        window = row[-1] + bytes((code,))
+        n = len(window)
         matched: list[int] = []
-        forward = dict(zip(self.pattern.variables_by_prefix[k], key[1:]))
-        # The one character is at index 0, below any hand-over index >= 1;
-        # 2 also spares a one-link walk the index computation.
-        _, k, forward = self._scan((code,), 0, k, forward, matched, 2)
-        target = dfa.state((k, *forward.values()))
+        # The one character is at index n - 1, below the hand-over index n.
+        _, k = self._scan(window, n - 1, n - 1, matched, n)
+        target = dfa.state(window[n - k :])
         if matched:
             dfa.emits[id(row), code] = target
             dfa.nbytes += _EDGE_BYTES

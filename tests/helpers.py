@@ -255,8 +255,9 @@ def scan_by_failures(engine, codes, handover_at: int):
     ``failure_chain``, counting a failure per link.  After a character's
     chain, from index ``handover_at`` on, failures that outnumber half of
     the index hand over before that character: the state returned is the
-    one the character found.  Returns (i, k, forward, positions) like
-    ``KmpEngine._scan``."""
+    one the character found.  Returns (i, k, forward, positions): the
+    state (i, k) that ``KmpEngine._scan`` returns, the bindings of its
+    window ``codes[i-k:i]``, and the matches."""
     pattern = engine.pattern
     m = len(pattern)
     k, forward, failures, positions = 0, {}, 0, []

@@ -8,7 +8,13 @@ import tracemalloc
 
 import pytest
 
-from helpers import const_id, failure_chain, random_pattern_text, scan_by_failures
+from helpers import (
+    failure_chain,
+    greedy_prefix_match,
+    image_codes,
+    random_pattern_text,
+    scan_by_failures,
+)
 from vcmatch import kmp
 from vcmatch.bench import make_inputs
 from vcmatch.core import Substitution, classify_input, encode_pattern, encode_text
@@ -299,9 +305,11 @@ def test_walk_equals_the_failure_chain(injective):
             forward = draw_bindings(rng, P, k, injective)
             t = rng.randrange(P.table.num_constants + 1)  # the last code: no pattern constant
             links, after = failure_chain(engine, k, forward, t)
-            j, succeeding, count = engine._walk(k, dict(forward), t)
-            assert (j, succeeding, count) == (*after, len(links))
-            assert list(succeeding) == list(P.variables_by_prefix[j])  # the scan's key order
+            window = bytes(image_codes(P, forward, 1, k))
+            j, count = engine._walk(window, t)
+            assert (j, count) == (after[0], len(links))
+            # The state after t: the last j codes of the window and t.
+            assert greedy_prefix_match(P, j, (window + bytes((t,)))[k + 1 - j :], injective) == after[1]
             assert engine._failure_ids(k, dict(forward)) == links[0]
             deep += len(links) > 2
     assert deep > 100
@@ -319,7 +327,7 @@ def test_a_failing_character_computes_its_failure_set_once(injective):
     positions = engine.find_all(T).positions
     assert positions == naive_all(P, T, mode="pvc" if injective else "fvc").positions
     assert positions == list(range(1, 34, 4))
-    assert sorted(key[0] for key in engine._failure_cache) == [125, 128]
+    assert sorted(len(key) for key in engine._failure_cache) == [125, 128]
 
 
 @pytest.mark.parametrize("injective", [False, True])
@@ -333,7 +341,7 @@ def test_a_match_resolves_through_the_next_characters_chain(injective):
     positions = engine.find_all(T).positions
     assert positions == naive_all(P, T, mode="pvc" if injective else "fvc").positions
     assert positions == [1]
-    assert [key[0] for key in engine._failure_cache] == [8]
+    assert [len(key) for key in engine._failure_cache] == [8]
 
 
 @pytest.mark.parametrize("injective", [False, True])
@@ -353,23 +361,12 @@ def test_plain_loop_hands_over_where_a_failure_per_link_would(injective):
         engine = KmpEngine(P, injective)
         handover_at = rng.choice((2, 8, 64))
         positions = []
-        state = engine._scan(T.codes, 0, 0, {}, positions, handover_at)
+        state = engine._scan(T.codes, 0, 0, positions, handover_at)
         i, k, forward, expected = scan_by_failures(engine, T.codes, handover_at)
-        assert (*state, positions) == (i, k, forward, expected)
+        assert (*state, positions) == (i, k, expected)
+        assert greedy_prefix_match(P, k, T.codes[i - k : i], injective) == forward
         handed_over += i < len(T)
     assert handed_over > 50
-
-
-def test_failure_cache_hands_out_copies():
-    P, _ = classify_input("ABAB", "ab")
-    engine = KmpEngine(P, injective=False)
-    a, b = const_id(P.table, "a"), const_id(P.table, "b")
-    expected = (3, {0: b, 1: a})
-    for _ in range(3):  # a miss, then hits; the scan writes into what it gets
-        j, succeeding = engine._failure_ids(4, {0: a, 1: b})
-        assert (j, succeeding) == expected
-        succeeding[0] = b
-        succeeding[2] = a
 
 
 @pytest.mark.parametrize("injective", [False, True])
@@ -517,6 +514,23 @@ def test_dfa_flush_hands_back_and_keeps_positions(mode, monkeypatch, caplog):
     assert any(int(line["handback"]) > int(line["handover"]) for line in handbacks)
 
 
+def traced_dfa_peaks(P, T, expected, monkeypatch) -> tuple[dict[int, int], KmpEngine]:
+    """The traced peak of a fresh fvc engine's search of T at a DFA table
+    cap of 64 KiB and of 1 MiB, and the last engine."""
+    peaks = {}
+    for cap in (2**16, 2**20):
+        monkeypatch.setattr(kmp, "DFA_TABLE_BYTES", cap)
+        engine = KmpEngine(P, injective=False)
+        tracemalloc.start()
+        try:
+            assert engine.find_all(T).positions == expected
+            peaks[cap] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert engine._dfa.nbytes < cap + 1024
+    return peaks, engine
+
+
 def test_dfa_table_stays_bounded(monkeypatch, caplog):
     # Three variables then a constant the text lacks: every character fails,
     # nearly always into a state not seen before (25^3 of them).
@@ -524,23 +538,31 @@ def test_dfa_table_stays_bounded(monkeypatch, caplog):
     text = "".join(rng.choice(string.ascii_lowercase[1:]) for _ in range(12000))
     P, T = classify_input("ABCa", text)
     monkeypatch.setattr(kmp, "FAILURE_CACHE_CAP", 1)
-    peaks = {}
-    for cap in (2**16, 2**20):
-        monkeypatch.setattr(kmp, "DFA_TABLE_BYTES", cap)
-        engine = KmpEngine(P, injective=False)
-        tracemalloc.start()
-        try:
-            assert engine.find_all(T).positions == []
-            peaks[cap] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert engine._dfa.nbytes < cap + 1024
+    peaks, engine = traced_dfa_peaks(P, T, [], monkeypatch)
     with caplog.at_level(logging.DEBUG, logger="vcmatch.kmp"):
         engine.find_all(T)
     assert "kmp dfa flushed" in caplog.text
     (line,) = scan_lines(caplog)
     assert int(line["handback"]) < len(text) // 2  # the plain loop finishes the text
     # The estimate tracks what the table holds: about 2,700 states fill 1 MiB.
+    assert peaks[2**16] < 2**17
+    assert 2**19 < peaks[2**20] < 2**21
+
+    # Long keys: (A..Z)*4 over 26-letter words, each written 4 times.  The
+    # scan climbs to k = 104 through fresh states on every word, so the
+    # estimate must count a key at its size: at 8 bytes per code, the
+    # table would flush at under half of what it holds at its cap.
+    words = ["".join(rng.choice(string.ascii_lowercase) for _ in range(26)) * 4 for _ in range(116)]
+    P, T = classify_input(string.ascii_uppercase * 4, "".join(words))
+    peaks, engine = traced_dfa_peaks(P, T, naive_all(P, T).positions, monkeypatch)
+    lengths = set()
+    state = kmp._Dfa.state
+    monkeypatch.setattr(kmp._Dfa, "state", lambda dfa, key: lengths.add(len(key)) or state(dfa, key))
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="vcmatch.kmp"):
+        engine.find_all(T)
+    assert "kmp dfa flushed" in caplog.text
+    assert max(lengths) == 104 and len([k for k in lengths if k >= 64]) > 20
     assert peaks[2**16] < 2**17
     assert 2**19 < peaks[2**20] < 2**21
 

@@ -181,8 +181,13 @@ class TestFailureFunction:
         engine = FvcKmp(P)
         with pytest.raises(ValueError):
             engine.failure(7, sub(P.table, {"A": "b"}))
-        with pytest.raises(ValueError):
-            engine.failure(0, Substitution())
+        for k in (0, 9):
+            with pytest.raises(ValueError):
+                engine.failure(k, Substitution())
+        # fvc takes bindings that pvc refuses as not injective.
+        pi = sub(P.table, {"A": "b", "B": "b", "C": "b"})
+        j, succ = engine.failure(7, pi)
+        assert (j, dict(succ.items())) == expected_failure(P, 7, dict(pi.items()), injective=False)
 
     def test_equals_definition_randomized(self):
         # The failure function must return exactly the largest feasible shift

@@ -187,6 +187,12 @@ class TestFailurePvc:
         engine = PvcKmp(P)
         with pytest.raises(ValueError):
             engine.failure(7, sub(P.table, {"A": "b", "B": "b", "C": "b"}))
+        # The refusals of fvc's test_domain_validation hold under pvc too.
+        with pytest.raises(ValueError):
+            engine.failure(7, sub(P.table, {"A": "b"}))
+        for k in (0, 9):
+            with pytest.raises(ValueError):
+                engine.failure(k, Substitution())
 
     def test_equals_definition_randomized(self):
         rng = random.Random(47)

@@ -13,14 +13,11 @@ import argparse
 import gc
 import json
 import os
-import string
 import sys
 import time
 
 from .core import MODES
 from .matchers import ALGORITHMS, make_matcher
-
-DEFAULT_VARIABLES = string.ascii_uppercase
 
 
 def _checked(parse, accept, expected: str):
@@ -83,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     find.add_argument(
         "--variables",
-        default=DEFAULT_VARIABLES,
         help="characters treated as pattern variables (default: A-Z)",
     )
     find.add_argument("--json", action="store_true", help="emit one JSON document")

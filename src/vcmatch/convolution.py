@@ -14,11 +14,15 @@ estimated cost:
   occurrence costs nothing, and under pvc each pair of first occurrences
   costs one more compare and AND.  It compares ids, so it is exact for
   any ids, and it wins for all but long patterns over few windows;
-* the *FFT* path reduces both checks to sliding cross-correlations: one
-  0/1 indicator correlation per distinct pattern constant, and per variable
-  the squared-sum identity ``k * sum(a_i^2) == (sum(a_i))^2  iff  all a_i
-  equal`` (Clifford & Clifford, IPL 2007), which needs two correlations
-  (text and squared text against the variable's occurrence indicator).
+* the *FFT* path reads both checks off two sliding cross-correlations,
+  whatever the number of distinct constants: the text codes t against the
+  pattern's constant codes p (0 at variables) and each variable's 0/1
+  occurrence row, and t**2 against the 0/1 constant positions and the
+  same rows.  The constants agree iff the sum of squared differences over
+  constant positions, ``sum t^2 - 2 sum tp + sum p^2``, is 0, and a
+  variable's k symbols a_i agree iff ``k * sum(a_i^2) == (sum(a_i))^2``
+  (both Clifford & Clifford, IPL 2007).  Text codes are bytes, so these
+  sums round exactly for all but enormous patterns.
 
 Correlations run block-wise over a fast transform and are rounded back to
 exact integers; inputs whose rounding error bound reaches 1/2 raise
@@ -52,8 +56,8 @@ FFT_ERROR_BASE = 4.0
 
 # Path costs in nanoseconds, for _estimated_costs.  Direct: per slice
 # operation of _direct_ok (a compare or an AND), a call cost plus a cost per
-# window.  FFT: a call cost plus a cost per row (one per distinct constant,
-# two per variable), window-plus-m and transform level.  The direct pair was
+# window.  FFT: a call cost plus a cost per row (two for the constants, two
+# per variable), window-plus-m and transform level.  The direct pair was
 # fitted by least squares on relative error to the fastest of 27-120 timed
 # calls of both paths over six passes, at m = 1..2048 and 16..16,384
 # windows, fvc and pvc, 1-6 variables and 1-5 constants, on periodic texts
@@ -175,64 +179,60 @@ def _text_array(text: TextString) -> np.ndarray:
     return np.frombuffer(text.codes, dtype=np.uint8)
 
 
-def _constant_mismatch_counts(pattern: PatternString, tcodes: np.ndarray) -> np.ndarray:
-    """Per window, how many constant positions of the pattern disagree."""
-    n_out = tcodes.size - len(pattern) + 1
-    constants = pattern.constants
-    if not constants:
-        return np.zeros(n_out, dtype=np.int64)
+def _fft_tables(pattern: PatternString, tcodes: np.ndarray):
+    """Per window: whether every constant position agrees, and per pattern
+    variable, by ascending id, whether all text symbols under its
+    occurrences agree, plus their window sums and counts.
+
+    Two correlations: the text codes t against the pattern's constant
+    codes p (0 at variables) and each variable's 0/1 occurrence row, and
+    t**2 against the 0/1 constant positions and the same variable rows.
+    Raises :class:`OverflowRiskError` when either fails the exactness guard.
+    """
     pcodes = np.asarray(pattern.codes, dtype=np.int64)
-    cids = np.asarray(constants, dtype=np.int64)
-    pattern_is = (pcodes[None, :] == cids[:, None]).astype(np.float64)
-    text_not = (tcodes[None, :] != cids[:, None]).astype(np.float64)
-    return _fft_correlate(text_not, pattern_is).sum(axis=0)
+    constant = pcodes >= 0
+    occurs = pcodes[None, :] == -1 - np.asarray(pattern.variables, dtype=np.int64)[:, None]
+    p = np.where(constant, pcodes, 0)
+    t = tcodes.astype(np.int64)
+    # max(t, p)**2 bounds both t**2 against 0/1 and t against p.
+    _check_value_bound(max(int(t.max()), int(p.max())) ** 2, 1, len(pattern))
+    sums = _fft_correlate(t[None, :], np.vstack([p, occurs]))
+    square_sums = _fft_correlate((t * t)[None, :], np.vstack([constant, occurs]))
+    # Sum over constant positions of (t - p)^2 = sum t^2 - 2 sum tp + sum p^2.
+    agree = square_sums[0] - 2 * sums[0] + int(p @ p) == 0
+    counts = occurs.sum(axis=1)[:, None]
+    # Squared-sum identity: k * sum(a_i^2) == (sum a_i)^2 iff all a_i equal.
+    consistent = counts * square_sums[1:] == sums[1:] * sums[1:]
+    return agree, consistent, sums[1:], counts
 
 
 def wildcard_mask(pattern: PatternString, text: TextString) -> np.ndarray:
     """Boolean mask over windows: True iff every constant position agrees.
 
     Variable positions act as don't-cares.  Entry i-1 describes the window
-    starting at 1-based position i.  Uses one indicator correlation per
-    distinct pattern constant.
+    starting at 1-based position i.  Reads the sum of squared differences
+    over constant positions off two correlations; raises
+    :class:`OverflowRiskError` only for patterns of about 108 million
+    symbols or more.
     """
     if len(pattern) > len(text):
         raise ValueError("pattern longer than text")
-    return _constant_mismatch_counts(pattern, _text_array(text)) == 0
-
-
-def _variable_tables(pattern: PatternString, tcodes: np.ndarray):
-    """Per pattern variable, by ascending id: where all text symbols
-    under its occurrences agree, plus their window sums and counts.
-
-    The text is first re-encoded as dense ids 1..|distinct ids|.  Raises
-    :class:`OverflowRiskError` when the squared text fails the exactness
-    guard; the dense text is never larger, so it passes whenever its
-    squares do.
-    """
-    vcodes = -1 - np.asarray(pattern.variables, dtype=np.int64)
-    rows = (np.asarray(pattern.codes, dtype=np.int64)[None, :] == vcodes[:, None]).astype(np.float64)
-    counts = rows.sum(axis=1).astype(np.int64)[:, None]
-    dense = np.unique(tcodes, return_inverse=True)[1].astype(np.int64) + 1
-    squares = dense * dense
-    _check_value_bound(int(squares.max()), 1, len(pattern))
-    sums, square_sums = _fft_correlate(dense[None, :], rows), _fft_correlate(squares[None, :], rows)
-    # Squared-sum identity: k * sum(a_i^2) == (sum a_i)^2 iff all a_i equal.
-    return counts * square_sums == sums * sums, sums, counts
+    return _fft_tables(pattern, _text_array(text))[0]
 
 
 def variable_consistent(pattern: PatternString, text: TextString, x: int) -> np.ndarray:
     """Boolean mask over windows: True iff all text symbols under the
     variable with id ``x`` agree.
 
-    Uses the squared-sum identity on two correlations against the 0/1
-    occurrence row of ``x``; raises :class:`OverflowRiskError` when the
-    text has too many distinct symbols for exact rounding.
+    Uses the squared-sum identity on the correlations of the text codes
+    and their squares against the 0/1 occurrence row of ``x``, the two
+    that :func:`wildcard_mask` also reads.
     """
     if x not in pattern.variables:
         raise ValueError(f"variable {x} does not occur in the pattern")
     if len(pattern) > len(text):
         raise ValueError("pattern longer than text")
-    consistent = _variable_tables(pattern, _text_array(text))[0]
+    consistent = _fft_tables(pattern, _text_array(text))[1]
     return consistent[pattern.variables.index(x)]
 
 
@@ -273,16 +273,14 @@ def _direct_ok(pattern: PatternString, tcodes: np.ndarray, n_out: int, injective
 
 def _fft_ok(pattern: PatternString, tcodes: np.ndarray, injective: bool) -> np.ndarray:
     """Per window, the decomposition through blocked FFT correlations."""
-    ok = _constant_mismatch_counts(pattern, tcodes) == 0
-    if pattern.variables:
-        consistent, sums, counts = _variable_tables(pattern, tcodes)
-        ok &= consistent.all(axis=0)
-        if injective:
-            # Window values are exact on consistent windows only, which is
-            # all that survives the mask above.
-            values = sums // counts
-            for a, b in itertools.combinations(values, 2):
-                ok &= a != b
+    ok, consistent, sums, counts = _fft_tables(pattern, tcodes)
+    ok &= consistent.all(axis=0)
+    if injective:
+        # Window values are exact on consistent windows only, which is
+        # all that survives the mask above.
+        values = sums // counts
+        for a, b in itertools.combinations(values, 2):
+            ok &= a != b
     return ok
 
 
@@ -290,8 +288,9 @@ def conv_match_all(pattern: PatternString, text: TextString, mode: str = "fvc") 
     """Find all matching windows with the correlation backend.
 
     Takes the direct or the FFT path, whichever :func:`_estimated_costs`
-    rates cheaper, and the direct path whenever the text has too many
-    distinct symbols for the FFT path to round exactly.
+    rates cheaper, and the direct path whenever the exactness guard refuses
+    the FFT path's correlations, which takes a pattern of about 108
+    million symbols or more.
     """
     injective = is_injective_mode(mode)
     m = len(pattern)
@@ -308,14 +307,13 @@ def conv_match_all(pattern: PatternString, text: TextString, mode: str = "fvc") 
     # distinct constant; a first occurrence costs nothing.
     repeats = variable_positions - num_variables
     operations = m - variable_positions + 2 * (repeats + pairs) + num_constants
-    direct, fft = _estimated_costs(m, n_out, operations, num_constants + 2 * num_variables)
+    direct, fft = _estimated_costs(m, n_out, operations, 2 + 2 * num_variables)
     path = "direct" if direct <= fft else "fft"
-    if num_variables:
-        try:  # dense ids never exceed the table's constant count
-            _check_value_bound(text.table.num_constants**2, 1, m)
-        except OverflowRiskError as exc:
-            logger.warning("falling back to direct summation: %s", exc)
-            path = "fallback"
+    try:  # text and pattern constant ids stay below the table's count
+        _check_value_bound((text.table.num_constants - 1) ** 2, 1, m)
+    except OverflowRiskError as exc:
+        logger.warning("falling back to direct summation: %s", exc)
+        path = "fallback"
     logger.debug("%s path: m=%d, %d windows, direct ~%.0f ns, fft ~%.0f ns", path, m, n_out, direct, fft)
     if path == "fft":
         # Text slices holding FFT_CHUNK_WINDOWS windows (or m, if more),

@@ -506,16 +506,17 @@ class KmpEngine:
         """
         window = row[-1] + bytes((code,))
         n = len(window)
-        matched: list[int] = []
-        # The one character is at index n - 1, below the hand-over index n.
-        _, k = self._scan(window, n - 1, n - 1, matched, n)
+        # The one character is at index n - 1, below the hand-over index n;
+        # only a match reaches state m.
+        _, k = self._scan(window, n - 1, n - 1, [], n)
         target = dfa.state(window[n - k :])
+        matched = k == len(self.pattern)
         if matched:
             dfa.emits[id(row), code] = target
             dfa.nbytes += _EDGE_BYTES
         else:
             row[code] = target
-        return target, bool(matched)
+        return target, matched
 
 
 # The cell rules build on this module, so they are imported once it is

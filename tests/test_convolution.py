@@ -1,6 +1,7 @@
 import itertools
 import logging
 import random
+import string
 import tracemalloc
 
 import numpy as np
@@ -284,6 +285,8 @@ class TestPathChoice:
         monkeypatch.setattr(convolution, "_check_value_bound", refuse)
         assert self.chosen_path(caplog, b"aABC" * 128, b"axyz" * 383 + b"axy", "pvc") == "fallback"
         assert "falling back to direct summation" in caplog.text
+        # A variable-free pattern's constants are correlated too.
+        assert self.chosen_path(caplog, b"abcd" * 128, b"abcd" * 383 + b"abc", "fvc") == "fallback"
 
     @pytest.mark.parametrize("path", ["direct", "fft"])
     def test_one_mib_search_memory_is_bounded(self, path, monkeypatch):
@@ -303,3 +306,47 @@ class TestPathChoice:
             tracemalloc.stop()
         assert got == []
         assert peak < 32 * 2**20
+
+
+def all_byte_case(rng: random.Random) -> tuple[bytes, bytes]:
+    """A pattern of 64-100 distinct constants (bytes outside A-Z) and 1-4
+    variables, and a text of all 256 byte values, in random order, then
+    three copies of the pattern under random bindings (one with two
+    variables bound alike, one with a byte changed), each followed by up to
+    64 random bytes."""
+    constants = [b for b in range(256) if not 65 <= b <= 90]
+    variables = rng.sample(string.ascii_uppercase.encode(), rng.randint(1, 4))
+    pattern = rng.sample(constants, rng.randint(64, 100)) + variables
+    pattern += [rng.choice(variables) for _ in range(rng.randint(0, 40))]
+    rng.shuffle(pattern)
+    text = rng.sample(range(256), 256)
+    for copy in range(3):
+        values = rng.sample(range(256), len(variables))
+        if copy == 1:
+            values[-1] = values[0]
+        binding = dict(zip(variables, values))
+        window = [binding.get(code, code) for code in pattern]
+        if copy == 2:
+            window[rng.randrange(len(window))] = rng.randrange(256)
+        text += window + [rng.randrange(256) for _ in range(rng.randint(0, 64))]
+    return bytes(pattern), bytes(text)
+
+
+class TestFftOverAllBytes:
+    @pytest.mark.parametrize("mode", ["fvc", "pvc"])
+    def test_forced_fft_equals_oracle(self, mode, monkeypatch, caplog):
+        # The FFT path checks constants by a sum of squared code differences
+        # and variables by sums of codes and their squares: both are exercised
+        # here at every text code 0..255, with many constants per pattern.
+        force_path(monkeypatch, "fft")
+        rng = random.Random(31)
+        matched = 0
+        with caplog.at_level(logging.DEBUG, logger="vcmatch.convolution"):
+            for _ in range(100):
+                P, T = classify_input(*all_byte_case(rng))
+                assert T.table.num_constants == 256
+                got = conv_match_all(P, T, mode).positions
+                assert got == naive_all(P, T, mode).positions
+                matched += len(got)
+        assert set(logged_paths(caplog)) == {"fft"}
+        assert matched >= 100

@@ -5,15 +5,16 @@ the text and (2) for each variable, all text symbols aligned under its
 occurrences are equal.  In injective (pvc) mode the per-variable window
 values must additionally be pairwise distinct.  :func:`conv_match_all`
 decides this decomposition on one of two paths, picked per search by
-estimated cost:
+estimated cost; both run on one text slice at a time (:func:`_slices`), as
+do the public masks, since a window depends on the text under it alone:
 
-* the *direct* path works on slices of the text: one compare per distinct
-  constant finds where the text holds it, and each constant position ANDs
-  that hit mask in; a repeated variable compares its slice with the text
-  under the variable's first occurrence and ANDs the result in, a first
-  occurrence costs nothing, and under pvc each pair of first occurrences
-  costs one more compare and AND.  It compares ids, so it is exact for
-  any ids, and it wins for all but long patterns over few windows;
+* the *direct* path: one compare per distinct constant finds where the
+  slice holds it, and each constant position ANDs that hit mask in; a
+  repeated variable compares its column with the one under the variable's
+  first occurrence and ANDs the result in, a first occurrence costs
+  nothing, and under pvc each pair of first occurrences costs one more
+  compare and AND.  It compares ids, so it is exact for any ids, and it
+  wins for all but long patterns over few windows;
 * the *FFT* path reads both checks off two sliding cross-correlations,
   whatever the number of distinct constants: the text codes t against the
   pattern's constant codes p (0 at variables) and each variable's 0/1
@@ -54,7 +55,7 @@ FFT_EPS = 2.0**-53
 FFT_ERROR_PER_LEVEL = 16.0
 FFT_ERROR_BASE = 4.0
 
-# Path costs in nanoseconds, for _estimated_costs.  Direct: per slice
+# Path costs in nanoseconds, for _estimated_costs.  Direct: per column
 # operation of _direct_ok (a compare or an AND), a call cost plus a cost per
 # window.  FFT: a call cost plus a cost per row (two for the constants, two
 # per variable), window-plus-m and transform level.  The direct pair was
@@ -79,9 +80,10 @@ DIRECT_COMPARE_NS = 650.0
 DIRECT_WINDOW_NS = 0.040
 FFT_CALL_NS = 106_000.0
 FFT_ROW_NS = 2.5
-# Windows per FFT text slice.  On a 1 MiB text (m = 32..4,096, pvc, 3
-# variables) 2**16 traced a 14 MiB peak against 164-196 MiB for the whole
-# text at once, and ran faster than 2**12, 2**14 or the whole text.
+# Windows per text slice, on every path.  On 1 MiB, against the whole text
+# at once: FFT (m = 32..4,096, pvc) traced 14 MiB, not 164-196, and ran
+# fastest at 2**16; direct, whose arrays take (distinct constants + 2) x
+# 64 KiB, traced 12.7 MiB, not 199, on a pattern over 197 constants.
 FFT_CHUNK_WINDOWS = 1 << 16
 
 
@@ -173,10 +175,14 @@ def correlate_direct(a, b) -> list[int]:
     return [sum(a_list[j + i] * b_list[i] for i in range(m)) for j in range(n - m + 1)]
 
 
-def _text_array(text: TextString) -> np.ndarray:
-    """The text's constant ids, viewed in place without a copy; the view
-    is read-only, and the searches only read it."""
-    return np.frombuffer(text.codes, dtype=np.uint8)
+def _slices(text: TextString, m: int):
+    """Yield each text slice's first window (0-based) and its ids, viewed in
+    place, read-only: ``FFT_CHUNK_WINDOWS`` windows (or m, if more), the
+    last one fewer, overlapping the next slice by m-1."""
+    codes, step = text.codes, max(FFT_CHUNK_WINDOWS, m)
+    for start in range(0, len(codes) - m + 1, step):
+        # Positional count and offset: keywords cost frombuffer about 0.5 us.
+        yield start, np.frombuffer(codes, np.uint8, min(step + m - 1, len(codes) - start), start)
 
 
 def _fft_tables(pattern: PatternString, tcodes: np.ndarray):
@@ -211,13 +217,11 @@ def wildcard_mask(pattern: PatternString, text: TextString) -> np.ndarray:
 
     Variable positions act as don't-cares.  Entry i-1 describes the window
     starting at 1-based position i.  Reads the sum of squared differences
-    over constant positions off two correlations; raises
+    over constant positions off two correlations per text slice; raises
     :class:`OverflowRiskError` only for patterns of about 108 million
     symbols or more.
     """
-    if len(pattern) > len(text):
-        raise ValueError("pattern longer than text")
-    return _fft_tables(pattern, _text_array(text))[0]
+    return _joined_rows(pattern, text, lambda tables: tables[0])
 
 
 def variable_consistent(pattern: PatternString, text: TextString, x: int) -> np.ndarray:
@@ -230,15 +234,21 @@ def variable_consistent(pattern: PatternString, text: TextString, x: int) -> np.
     """
     if x not in pattern.variables:
         raise ValueError(f"variable {x} does not occur in the pattern")
+    row = pattern.variables.index(x)
+    return _joined_rows(pattern, text, lambda tables: tables[1][row])
+
+
+def _joined_rows(pattern: PatternString, text: TextString, pick) -> np.ndarray:
+    """The row that ``pick`` takes from each text slice's :func:`_fft_tables`,
+    joined over the slices."""
     if len(pattern) > len(text):
         raise ValueError("pattern longer than text")
-    consistent = _fft_tables(pattern, _text_array(text))[1]
-    return consistent[pattern.variables.index(x)]
+    return np.concatenate([pick(_fft_tables(pattern, part)) for _, part in _slices(text, len(pattern))])
 
 
 def _estimated_costs(m: int, n_out: int, operations: int, rows: int) -> tuple[float, float]:
     """Estimated nanoseconds of the direct and the FFT path for a pattern of
-    length ``m`` over ``n_out`` windows, with ``operations`` slice
+    length ``m`` over ``n_out`` windows, with ``operations`` column
     operations on the direct path and ``rows`` correlation rows."""
     direct = operations * (DIRECT_COMPARE_NS + DIRECT_WINDOW_NS * n_out)
     levels = _next_pow2(2 * m - 1).bit_length()
@@ -246,8 +256,9 @@ def _estimated_costs(m: int, n_out: int, operations: int, rows: int) -> tuple[fl
     return direct, fft
 
 
-def _direct_ok(pattern: PatternString, tcodes: np.ndarray, n_out: int, injective: bool) -> np.ndarray:
-    """Per window, the decomposition as one slice compare per pattern position."""
+def _direct_ok(pattern: PatternString, tcodes: np.ndarray, injective: bool) -> np.ndarray:
+    """Per window of the text slice ``tcodes``, the decomposition by columns."""
+    n_out = tcodes.size - len(pattern) + 1
     ok = np.ones(n_out, dtype=bool)
     hits: dict[int, np.ndarray] = {}  # constant id -> where the text holds it
     first: dict[int, np.ndarray] = {}  # variable code -> text under its first occurrence
@@ -290,14 +301,13 @@ def conv_match_all(pattern: PatternString, text: TextString, mode: str = "fvc") 
     Takes the direct or the FFT path, whichever :func:`_estimated_costs`
     rates cheaper, and the direct path whenever the exactness guard refuses
     the FFT path's correlations, which takes a pattern of about 108
-    million symbols or more.
+    million symbols or more.  The path runs on one text slice at a time.
     """
     injective = is_injective_mode(mode)
     m = len(pattern)
     n_out = len(text) - m + 1
     if n_out <= 0:
         return MatchReport([])
-    tcodes = _text_array(text)
     num_variables = len(pattern.variables)
     num_constants = len(set(pattern.codes)) - num_variables
     pairs = math.comb(num_variables, 2) if injective else 0
@@ -314,13 +324,13 @@ def conv_match_all(pattern: PatternString, text: TextString, mode: str = "fvc") 
     except OverflowRiskError as exc:
         logger.warning("falling back to direct summation: %s", exc)
         path = "fallback"
-    logger.debug("%s path: m=%d, %d windows, direct ~%.0f ns, fft ~%.0f ns", path, m, n_out, direct, fft)
-    if path == "fft":
-        # Text slices holding FFT_CHUNK_WINDOWS windows (or m, if more),
-        # overlapping by m-1, bound the transform stack.
-        step = max(FFT_CHUNK_WINDOWS, m)
-        slices = (tcodes[start : start + step + m - 1] for start in range(0, n_out, step))
-        ok = np.concatenate([_fft_ok(pattern, part, injective) for part in slices])
-    else:
-        ok = _direct_ok(pattern, tcodes, n_out, injective)
-    return MatchReport((np.flatnonzero(ok) + 1).tolist())
+    evaluate = _fft_ok if path == "fft" else _direct_ok
+    hits = []  # per slice, the 1-based starts of its matching windows
+    for start, part in _slices(text, m):
+        # ndarray.nonzero: np.flatnonzero costs a tiny search about 2 us more.
+        hits.append(evaluate(pattern, part, injective).nonzero()[0] + (start + 1))
+    line = "%s path: m=%d, %d windows, direct ~%.0f ns, fft ~%.0f ns, %d slices"
+    logger.debug(line, path, m, n_out, direct, fft, len(hits))
+    # One tolist: per-slice lists cost x1.1 where every window matched, and
+    # np.concatenate costs a one-slice search about 1 us.
+    return MatchReport((hits[0] if len(hits) == 1 else np.concatenate(hits)).tolist())

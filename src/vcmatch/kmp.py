@@ -42,10 +42,10 @@ Where failures run dense, the scan itself becomes a lazily built DFA, as in
 RE2 (Cox, "Regular Expression Matching in the Wild"): its states are the
 windows, as ``bytes`` (k is the length), and each transition is filled on
 first use by one character of the plain loop.  A warm engine's scan (its
-table holds states) starts in the DFA; any other hands over once failures,
-one per chain link, outnumber half of the characters read (from
-``DFA_HANDOVER_INDEX`` on), before the character whose walk made them do
-so.  A table whose size reaches ``DFA_TABLE_BYTES``
+table holds states) starts in the DFA unless it skips (below); any other
+hands over once failures, one per chain link, outnumber half of the
+characters read (from ``DFA_HANDOVER_INDEX`` on), before the character
+whose walk made them do so.  A table whose size reaches ``DFA_TABLE_BYTES``
 (estimated) is flushed, so memory stays bounded on any input, and the scan
 hands back to the plain loop for the rest of the text.
 
@@ -55,7 +55,7 @@ characters of the text are that constant, the plain loop jumps from a
 mismatch at k = 0 to its next occurrence with ``bytes.find``, as RE2 runs
 memchr on a start state's first byte.  It skips only k = 0 mismatches, so
 the scan visits the same states, computes the same failures and hands over
-at the same index as without the jump.
+at the same index as without the jump; a search decides it once.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ from .naive import MatchReport
 # About 0.4 MiB of cached failure sets for A..Z then a constant (m = 27):
 # an entry's key is its window, up to m bytes.
 FAILURE_CACHE_CAP = 2048
-# A cold scan (a warm one starts in the DFA) hands over to the lazy DFA at
+# A scan that starts in the plain loop hands over to the lazy DFA at
 # the first failure from this text index on where failures outnumber half of
 # the characters read ...
 DFA_HANDOVER_INDEX = 256
@@ -335,25 +335,24 @@ class KmpEngine:
     def find_all(self, text: TextString) -> MatchReport:
         """Scan the text once, shifting through the failure rows on mismatch.
 
-        A warm engine's scan (its DFA table holds states) starts in the lazy
-        DFA (:meth:`_dfa_scan`), logging handover=0; any other starts in the
-        plain loop (:meth:`_scan`) and moves to the DFA once failures run
-        dense.  It comes back if the table fills up, which flushes it.  The
-        plain loops jump to the leading constant when it is sparse in the
-        text (:meth:`_skip_lead`), decided when the search's first plain
-        loop starts and logged as skip=on or skip=off; a warm search that
-        never hands back runs no plain loop and logs skip=off.
+        The plain loops (:meth:`_scan`) jump to the leading constant when
+        fewer than 1 in ``SKIP_DENSITY`` characters of the text are it,
+        decided once per search and logged as skip=on or skip=off.  Without
+        the jump, a warm engine (its DFA table holds states) starts in the
+        lazy DFA (:meth:`_dfa_scan`), logging handover=0; any other scan
+        starts in the plain loop and moves to the DFA once failures run
+        dense.  It comes back if the table fills up, which flushes it.
         """
         m, n = len(self.pattern), len(text)
         if m > n:
             return MatchReport([])
         tcodes = text.codes
         positions: list[int] = []
-        warm = self._dfa is not None and bool(self._dfa.rows)  # a flush empties rows
-        if warm:
-            i, k, lead = 0, 0, None
-        else:
-            lead = self._skip_lead(tcodes)
+        lead = self._lead
+        if lead is not None and tcodes.count(lead) * SKIP_DENSITY >= n:
+            lead = None
+        i = k = 0
+        if lead is not None or self._dfa is None or not self._dfa.rows:  # a flush empties rows
             i, k = self._scan(tcodes, 0, 0, positions, DFA_HANDOVER_INDEX, lead)
         handover = handback = None
         fills = 0
@@ -362,8 +361,6 @@ class KmpEngine:
             i, k, fills = self._dfa_scan(text, i, k, positions)
             if i < n:
                 handback = i
-                if warm:
-                    lead = self._skip_lead(tcodes)
                 self._scan(tcodes, i, k, positions, n + 1, lead)
         if logger.isEnabledFor(logging.DEBUG):
             dfa = self._dfa
@@ -375,14 +372,6 @@ class KmpEngine:
                 "off" if lead is None else "on",
             )
         return MatchReport(positions)
-
-    def _skip_lead(self, tcodes: bytes) -> bytes | None:
-        """The leading constant for the plain loop to jump to: ``_lead`` when
-        fewer than 1 in ``SKIP_DENSITY`` characters of the text are it."""
-        lead = self._lead
-        if lead is not None and tcodes.count(lead) * SKIP_DENSITY >= len(tcodes):
-            return None
-        return lead
 
     def _scan(
         self, tcodes: bytes, i: int, k: int, positions: list[int], handover_at: int,

@@ -236,13 +236,13 @@ def logged_paths(caplog) -> list[str]:
 
 
 class TestPathChoice:
-    @pytest.mark.parametrize("path", ["direct", "fft", "fft-sliced"])
+    @pytest.mark.parametrize("path", ["direct", "fft", "fft-sliced", "direct-sliced"])
     @pytest.mark.parametrize("repeat_bias", [False, True])
     def test_forced_path_equals_oracle(self, path, repeat_bias, monkeypatch, caplog):
         # The acceptance corpus is short enough to run direct only, so each
         # path is forced here, on planted positives and repeated variables.
-        force_path(monkeypatch, path)
-        if path == "fft-sliced":  # slices of m windows
+        force_path(monkeypatch, path.split("-")[0])
+        if path.endswith("-sliced"):  # slices of m windows
             monkeypatch.setattr(convolution, "FFT_CHUNK_WINDOWS", 1)
         rng = random.Random(28 + repeat_bias)
         with caplog.at_level(logging.DEBUG, logger="vcmatch.convolution"):
@@ -290,21 +290,63 @@ class TestPathChoice:
 
     @pytest.mark.parametrize("path", ["direct", "fft"])
     def test_one_mib_search_memory_is_bounded(self, path, monkeypatch):
-        # Transforming the whole text at once held about 164 MiB here.  Every
-        # window agrees on constants and repeats, so no compare is skipped;
-        # only injectivity rejects them.
+        # Transforming the whole text at once held about 164 MiB on the
+        # first input, and a whole-text hit mask per distinct constant about
+        # 98 MiB on the second.  On the first, every window agrees on
+        # constants and repeats, so no compare is skipped; only injectivity
+        # rejects them.
         force_path(monkeypatch, path)
-        pattern, _ = make_inputs(64, 32)
-        P, T = classify_input(pattern.translate(str.maketrans("bc", "aa")), "a" * (1 << 20))
-        assert len(P.variables) > 1
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            got = conv_match_all(P, T, "pvc").positions
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert got == []
+        for (P, T), expected in (repeats_over_one_mib(), many_constants_over_one_mib()):
+            got, peak = traced_peak(lambda: conv_match_all(P, T, "pvc").positions)
+            assert got == expected
+            assert peak < 32 * 2**20
+
+
+def traced_peak(run):
+    """``run()`` and the peak bytes that tracemalloc traced during it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = run()
+        return got, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def repeats_over_one_mib():
+    """make_inputs' m = 64 pvc pattern over 1 MiB of "a", where every
+    window agrees on constants and repeats, and no pvc match."""
+    pattern, _ = make_inputs(64, 32)
+    P, T = classify_input(pattern.translate(str.maketrans("bc", "aa")), "a" * (1 << 20))
+    assert len(P.variables) > 1
+    return (P, T), []
+
+
+def many_constants_over_one_mib():
+    """An all_byte_case pattern of 96 distinct constants and 4 variables
+    over 1 MiB of random bytes holding one copy under distinct bindings."""
+    rng = random.Random(0)
+    pattern, _ = all_byte_case(rng)
+    variables = sorted(set(pattern) & set(string.ascii_uppercase.encode()))
+    text = bytearray(rng.randbytes(1 << 20))
+    start = rng.randrange(len(text) - len(pattern))
+    binding = dict(zip(variables, rng.sample(range(256), len(variables))))
+    text[start : start + len(pattern)] = bytes(binding.get(c, c) for c in pattern)
+    P, T = classify_input(pattern, bytes(text))
+    assert (len(P.variables), len(set(P.codes)) - len(P.variables)) == (4, 96)
+    return (P, T), [start + 1]
+
+
+@pytest.mark.parametrize("mask", ["wildcard_mask", "variable_consistent"])
+def test_one_mib_mask_memory_is_bounded(mask):
+    # Correlating the whole text at once traced 200-272 MiB here.
+    for (P, T), expected in (repeats_over_one_mib(), many_constants_over_one_mib()):
+        if mask == "wildcard_mask":
+            got, peak = traced_peak(lambda: wildcard_mask(P, T))
+        else:
+            got, peak = traced_peak(lambda: variable_consistent(P, T, P.variables[0]))
+        assert got.shape == (len(T) - len(P) + 1,)
+        assert got.sum() >= len(expected)
         assert peak < 32 * 2**20
 
 

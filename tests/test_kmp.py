@@ -801,18 +801,43 @@ def test_skip_stays_off(praw, traw, caplog):
 
 
 @pytest.mark.parametrize("mode", ["fvc", "pvc"])
-def test_warm_search_decides_the_skip_at_its_hand_back(mode, monkeypatch, caplog):
-    # A warm start reads every character in the DFA and logs skip=off; a
-    # warm scan whose table fills hands back to a plain loop that skips.
+def test_warm_search_decides_the_skip_before_it_scans(mode, caplog):
+    # A warm engine given a text sparse in "a" runs the plain loop with the
+    # skip, hands over where the cold search did and meets only states its
+    # table holds; given the dense hand-over stretch alone, it starts in
+    # the DFA and logs skip=off.
     naive = make_matcher("naive", mode=mode).fit(b"ab")
     matcher = make_matcher("kmp", mode=mode).fit(b"ab")
-    fresh = b"q" + HANDOVER_THEN_SPARSE  # "q" is a new code: its entry needs a fill
+    dense = HANDOVER_THEN_SPARSE[:707]  # over half of it is "a"
     with caplog.at_level(logging.DEBUG, logger="vcmatch.kmp"):
-        for traw in (HANDOVER_THEN_SPARSE, HANDOVER_THEN_SPARSE):
+        for traw in (HANDOVER_THEN_SPARSE, HANDOVER_THEN_SPARSE, dense):
             assert matcher.predict(traw) == naive.predict(traw)
-        monkeypatch.setattr(kmp, "DFA_TABLE_BYTES", 1)
-        assert matcher.predict(fresh) == naive.predict(fresh)
-    cold, warm, flushed = scan_lines(caplog)
-    assert (cold["handover"], cold["skip"]) == ("603", "on")
-    assert (warm["handover"], warm["handback"], warm["skip"]) == ("0", "None", "off")
-    assert (flushed["handover"], flushed["handback"], flushed["skip"]) == ("0", "0", "on")
+    cold, warm, warm_dense = scan_lines(caplog)
+    assert (cold["handover"], cold["handback"], cold["skip"]) == ("603", "None", "on")
+    assert (warm["handover"], warm["handback"], warm["skip"], warm["fills"]) == ("603", "None", "on", "0")
+    assert (warm_dense["handover"], warm_dense["skip"]) == ("0", "off")
+
+
+@pytest.mark.parametrize("mode", ["fvc", "pvc"])
+def test_warm_engine_keeps_the_skip_over_a_sparse_lead(mode, caplog):
+    # cli-wide's shape: a pattern opening with "q" over 39 symbols with
+    # planted copies.  An engine warmed on "q" * 4096, which hands over and
+    # leaves states in its table, scans it as a fresh engine does.
+    pattern = b"qA7zBqCC.kAD7qEzFk.AqC7zFqDkB.Eq"
+    alphabet = (string.ascii_lowercase + string.digits + ".,-").encode()
+    rng = random.Random(1)
+    text = bytearray(rng.choices(alphabet, k=1 << 14))
+    for start in range(100, len(text) - len(pattern), 1000):
+        binding = dict(zip(b"ABCDEF", rng.sample(alphabet, 6)))
+        text[start : start + len(pattern)] = bytes(binding.get(c, c) for c in pattern)
+    text = bytes(text)
+    warmed = make_matcher("kmp", mode=mode).fit(pattern)
+    with caplog.at_level(logging.DEBUG, logger="vcmatch.kmp"):
+        warmed.predict(b"q" * 4096)
+        got = warmed.predict(text)
+        make_matcher("kmp", mode=mode).fit(pattern).predict(text)
+    warmup, warm, fresh = scan_lines(caplog)
+    assert warmup["handover"] == "256" and warmup["states"] != "0"
+    assert got == make_matcher("naive", mode=mode).fit(pattern).predict(text)
+    assert len(got) >= 16
+    assert (warm["handover"], warm["skip"]) == (fresh["handover"], "on")
